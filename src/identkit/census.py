@@ -33,13 +33,11 @@ from itertools import combinations, islice
 from multiprocessing import Pool
 
 from . import graphprops
-from .identcore import derived_rng, random_prime_62, rank_mod_p
+from .identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
 from .model import make_model, compartmental_matrix
-from .sympoly import EvalPoint, SparsePoly, char_poly_coeffs, signed_minor_coeffs
+from .sympoly import SparsePoly, char_poly_coeffs, signed_minor_coeffs
 
-DEFAULT_TRIALS = 3
 CHECKPOINT_EVERY = 10_000
-VALUE_BOUND = 10_000
 
 CELLS = (
     "strongly_connected",
@@ -125,10 +123,10 @@ def _evaluate_graph(
     out["strongly_connected"] = sc
     sioc12 = sioc132 = False
     if feas["sioc_in1_out2"]:
-        sioc12 = graphprops.strongly_connected_raw(n, edges + ((2, 1),))
+        sioc12 = graphprops.sioc_via_augmentation(n, edges, (1,), (2,))
         out["sioc_in1_out2"] = sioc12
     if feas["sioc_in13_out2"]:
-        sioc132 = graphprops.strongly_connected_raw(n, edges + ((2, 1), (2, 3)))
+        sioc132 = graphprops.sioc_via_augmentation(n, edges, (1, 3), (2,))
         out["sioc_in13_out2"] = sioc132
 
     # (config key, active?, minor positions, rank bound)
@@ -146,7 +144,6 @@ def _evaluate_graph(
     matrix = compartmental_matrix(model, "diag")
     entries = matrix.entries
     table = matrix.table
-    nparams = len(table.params)
 
     lhs = _nonzero_rows(char_poly_coeffs(entries, table))
     minor_rows: dict[tuple[int, int], list[SparsePoly]] = {}
@@ -155,51 +152,21 @@ def _evaluate_graph(
             if pos not in minor_rows:
                 minor_rows[pos] = _nonzero_rows(signed_minor_coeffs(entries, table, *pos))
 
-    # distinct jacobian rows shared across configurations
+    # distinct jacobian rows shared across configurations, numbered in first-seen order
     row_ids: dict[SparsePoly, int] = {}
-    rows: list[SparsePoly] = []
-
-    def intern(poly: SparsePoly) -> int:
-        rid = row_ids.get(poly)
-        if rid is None:
-            rid = len(rows)
-            row_ids[poly] = rid
-            rows.append(poly)
-        return rid
-
-    lhs_ids = [intern(p) for p in lhs]
-    config_rows: list[tuple[str, list[int], int]] = []
-    for name, _, positions, bound in active:
+    lhs_ids = [row_ids.setdefault(p, len(row_ids)) for p in lhs]
+    subsets: list[tuple[list[int], int]] = []
+    for _, _, positions, bound in active:
         ids = set(lhs_ids)
         for pos in positions:
-            ids.update(intern(p) for p in minor_rows[pos])
-        config_rows.append((name, sorted(ids), bound))
+            ids.update(row_ids.setdefault(p, len(row_ids)) for p in minor_rows[pos])
+        subsets.append((sorted(ids), bound))
 
-    partials = [[poly.partial_by_index(c) for c in range(nparams)] for poly in rows]
-    best = {name: 0 for name, _, _ in config_rows}
-    for _ in range(trials):
-        if all(best[name] >= bound for name, _, bound in config_rows):
-            break
-        p = random_prime_62(rng)
-        vals = []
-        for _ in range(nparams):
-            v = 0
-            while v == 0:
-                v = rng.randint(-VALUE_BOUND, VALUE_BOUND)
-            vals.append(v)
-        point = EvalPoint(table=table, values=tuple(vals), modulus=p)
-        evaluated = [[q.evaluate(point) for q in vec] for vec in partials]
-        for name, ids, bound in config_rows:
-            if best[name] >= bound:
-                continue
-            rank = rank_mod_p([evaluated[r] for r in ids], p)
-            if rank > bound:
-                raise AssertionError(
-                    f"rank {rank} exceeds bound {bound} for {name} on edges {edges}"
-                )
-            best[name] = max(best[name], rank)
-    for name, _, bound in config_rows:
-        out[name] = best[name] == bound
+    ranks = jacobian_ranks(list(row_ids), table, rng, trials, subsets)
+    for (name, _, _, bound), rank in zip(active, ranks):
+        if rank > bound:
+            raise AssertionError(f"rank {rank} exceeds bound {bound} for {name} on edges {edges}")
+        out[name] = rank == bound
     return out
 
 

@@ -49,14 +49,20 @@ def _parse_leaks(text: str, n: int) -> frozenset[int]:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ModelError(f"bad integer list {text!r}; expected a comma list like '1,2'") from None
 
 
 def _parse_m_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+        try:
+            return list(range(int(lo), int(hi) + 1))
+        except ValueError:
+            raise ModelError(f"bad --m range {text!r}; expected 'lo..hi'") from None
+    return _parse_int_list(text)
 
 
 def _load(args) -> "CompartmentalModel":
@@ -166,7 +172,10 @@ def _cmd_transform(args) -> int:
     elif args.add_leak is not None:
         new_model, cert = transforms.add_leak(model, args.add_leak, seed=args.seed, trials=args.trials)
     else:
-        k, l, s = _parse_int_list(args.attach_path)
+        path = _parse_int_list(args.attach_path)
+        if len(path) != 3:
+            raise ModelError(f"--attach-path needs three integers k,l,s, got {args.attach_path!r}")
+        k, l, s = path
         new_model, cert = transforms.attach_path(
             model, k, l, s, seed=args.seed, trials=args.trials, certify=True
         )

@@ -12,40 +12,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graphprops import CapExceeded
 from .model import CompartmentalModel, Param
 
 DEFAULT_CAP = 100_000
 
 
-def _digraph(model: CompartmentalModel) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(model.vertices)
-    g.add_edges_from(model.edges)
-    return g
+def _closing_walks(adj: dict[int, list[int]], path: list[int], target: int, allowed):
+    """Every extension of the simple path ``path`` that ends on an edge into
+    ``target``, passing only through vertices in ``allowed``."""
+    for w in adj[path[-1]]:
+        if w == target:
+            yield path + [w]
+        elif w in allowed and w not in path:
+            path.append(w)
+            yield from _closing_walks(adj, path, target, allowed)
+            path.pop()
 
 
-def _canonical_cycle(nodes: list[int]) -> tuple[tuple[int, int], ...]:
-    """Cycle as an edge tuple, rotated to start at its smallest vertex."""
-    k = nodes.index(min(nodes))
-    rot = nodes[k:] + nodes[:k]
-    return tuple((rot[t], rot[(t + 1) % len(rot)]) for t in range(len(rot)))
+def _walk_edges(model: CompartmentalModel, starts, cap: int, what: str):
+    """The closing walks of every (start, target, allowed) in ``starts`` as
+    edge tuples, sorted by (length, vertex sequence); at most ``cap`` of them."""
+    adj = {v: model.out_neighbors(v) for v in model.vertices}
+    out = []
+    for start, target, allowed in starts:
+        for nodes in _closing_walks(adj, [start], target, allowed):
+            out.append(tuple(zip(nodes, nodes[1:])))
+            if len(out) > cap:
+                raise CapExceeded(f"more than {cap} {what}")
+    out.sort(key=lambda c: (len(c), c))
+    return out
 
 
 def enumerate_simple_cycles(
     model: CompartmentalModel, cap: int = DEFAULT_CAP
 ) -> list[tuple[tuple[int, int], ...]]:
-    """All simple directed cycles (length >= 2) as edge tuples, sorted by
-    (length, vertex sequence).  Self-cycles are handled separately."""
-    out = []
-    for nodes in nx.simple_cycles(_digraph(model)):
-        out.append(_canonical_cycle(nodes))
-        if len(out) > cap:
-            raise CapExceeded(f"more than {cap} simple cycles")
-    out.sort(key=lambda c: (len(c), c))
-    return out
+    """All simple directed cycles (length >= 2) as edge tuples starting at
+    their smallest vertex, sorted by (length, vertex sequence).  Self-cycles
+    are handled separately."""
+    starts = [(root, root, range(root + 1, model.n + 1)) for root in model.vertices]
+    return _walk_edges(model, starts, cap, "simple cycles")
 
 
 def enumerate_io_paths(
@@ -54,18 +60,10 @@ def enumerate_io_paths(
     """All simple directed paths from an input to an output (length >= 1) as
     edge tuples, sorted by (length, vertex sequence).  The length-0 path at a
     vertex that is both input and output is never emitted."""
-    g = _digraph(model)
-    out = []
-    for i in sorted(model.inputs):
-        for j in sorted(model.outputs):
-            if i == j:
-                continue
-            for nodes in nx.all_simple_paths(g, i, j):
-                out.append(tuple((nodes[t], nodes[t + 1]) for t in range(len(nodes) - 1)))
-                if len(out) > cap:
-                    raise CapExceeded(f"more than {cap} input-output paths")
-    out.sort(key=lambda p: (len(p), p))
-    return out
+    starts = [
+        (i, j, model.vertices) for i in sorted(model.inputs) for j in sorted(model.outputs) if i != j
+    ]
+    return _walk_edges(model, starts, cap, "input-output paths")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ v), which keeps the per-graph cost low enough for exhaustive censuses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import CompartmentalModel, make_model
 
@@ -139,37 +138,6 @@ def induced_strongly_connected(masks: list[int], member_mask: int) -> bool:
     return acc == member_mask
 
 
-# -- reachability cache -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReachabilityCache:
-    """Forward/backward reachability bitmasks and the SCC partition."""
-
-    n: int
-    forward: tuple[int, ...]  # forward[v-1]: vertices reachable from v (v included)
-    backward: tuple[int, ...]  # backward[v-1]: vertices that reach v (v included)
-    sccs: tuple[frozenset[int], ...]
-
-
-def reachability(model: CompartmentalModel) -> ReachabilityCache:
-    n = model.n
-    fwd_step = out_masks(n, model.edges)
-    bwd_step = in_masks(n, model.edges)
-    fwd = [m | (1 << v) for v, m in enumerate(closure_masks(fwd_step))]
-    bwd = [m | (1 << v) for v, m in enumerate(closure_masks(bwd_step))]
-    seen: set[int] = set()
-    sccs: list[frozenset[int]] = []
-    for v in range(n):
-        if v in seen:
-            continue
-        mask = fwd[v] & bwd[v]
-        members = frozenset(b + 1 for b in range(n) if mask >> b & 1)
-        seen.update(b for b in range(n) if mask >> b & 1)
-        sccs.append(members)
-    return ReachabilityCache(n=n, forward=tuple(fwd), backward=tuple(bwd), sccs=tuple(sccs))
-
-
 # -- predicates on models -------------------------------------------------
 
 
@@ -184,33 +152,6 @@ def output_reachable_set(model: CompartmentalModel, j: int) -> frozenset[int]:
     bwd = in_masks(model.n, model.edges)
     mask = reachable_from(bwd, 1 << (j - 1))
     return frozenset(b + 1 for b in range(model.n) if mask >> b & 1)
-
-
-def output_reachable_subgraph(model: CompartmentalModel, j: int) -> CompartmentalModel:
-    """Induced submodel on the vertices that reach output j.
-
-    Vertices are relabeled 1..k following their original ascending order
-    (see ``subgraph_relabeling``).  In/Out/Leak are intersected; the induced
-    input set may be empty when no input reaches j.
-    """
-    keep = sorted(output_reachable_set(model, j))
-    relabel = {v: idx + 1 for idx, v in enumerate(keep)}
-    keep_set = set(keep)
-    return CompartmentalModel(
-        n=len(keep),
-        edges=tuple(
-            sorted((relabel[s], relabel[d]) for s, d in model.edges if s in keep_set and d in keep_set)
-        ),
-        inputs=frozenset(relabel[v] for v in model.inputs if v in keep_set),
-        outputs=frozenset(relabel[v] for v in model.outputs if v in keep_set),
-        leaks=frozenset(relabel[v] for v in model.leaks if v in keep_set),
-    )
-
-
-def subgraph_relabeling(model: CompartmentalModel, j: int) -> dict[int, int]:
-    """Old-label -> new-label map used by ``output_reachable_subgraph``."""
-    keep = sorted(output_reachable_set(model, j))
-    return {v: idx + 1 for idx, v in enumerate(keep)}
 
 
 def is_output_connectable(model: CompartmentalModel) -> bool:
@@ -296,16 +237,16 @@ def is_strongly_input_output_connected(model: CompartmentalModel) -> bool:
     return all(e in on_paths for e in pending)
 
 
-def sioc_via_augmentation(model: CompartmentalModel) -> bool:
+def sioc_via_augmentation(n: int, edges, inputs, outputs) -> bool:
     """Strong-connectivity test of the graph augmented with output->input
     edges; equivalent to the definitional check when |In| = 1 or |Out| = 1.
 
     This is the fast route used by the census.
     """
-    if len(model.inputs) != 1 and len(model.outputs) != 1:
+    if len(inputs) != 1 and len(outputs) != 1:
         raise PreconditionViolated("augmentation shortcut needs a single input or a single output")
-    extra = [(j, i) for j in model.outputs for i in model.inputs if j != i]
-    return strongly_connected_raw(model.n, tuple(model.edges) + tuple(extra))
+    extra = tuple((j, i) for j in outputs for i in inputs if j != i)
+    return strongly_connected_raw(n, tuple(edges) + extra)
 
 
 def is_inductively_strongly_connected(

@@ -3,7 +3,8 @@
 Local identifiability is decided by the generic rank of the Jacobian of the
 coefficient map: the Jacobian is built symbolically (exact partial
 derivatives) and evaluated at random integer points modulo independent
-random ~62-bit primes; the rank reported is the maximum over trials.  A rank
+random ~62-bit primes; the rank reported is the maximum over trials.
+``jacobian_ranks`` is the one rank engine, shared with the census.  A rank
 deficit observed at random points is overwhelming but not proof-grade
 evidence, so reports keep it separate from the certificate-grade structural
 screens (parameter count, exchange, direct edge, short path).
@@ -14,19 +15,20 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-
-import sympy
+from typing import Sequence
 
 from . import cyclespace, graphprops
 from .cyclespace import PathCycleBasis
 from .ioeq import CoefficientMap, coefficient_map, expected_coefficient_count
-from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, normalize_mode
-from .sympoly import EvalPoint, SparsePoly
+from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, ModelError, normalize_mode
+from .sympoly import EvalPoint, SparsePoly, VarTable
 
 VALUE_BOUND = 10_000
 PRIME_LOW = 2**61
 PRIME_HIGH = 2**62
 DEFAULT_TRIALS = 3
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461  # least composite that passes every base above
 
 
 class HypothesesNotMet(ValueError):
@@ -43,23 +45,50 @@ def derived_rng(seed: int, *key_parts: str) -> random.Random:
     return random.Random(int.from_bytes(h.digest()[:8], "big"))
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over ``PRIME_BASES``: exact below PSI_12
+    (about 3.18e23, far above PRIME_HIGH) and refused from there on."""
+    if n >= PSI_12:
+        raise ValueError(f"{n} is outside the exact range of the 12-base test")
+    if n < 2:
+        return False
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def random_prime_62(rng: random.Random) -> int:
     """A random prime in (2^61, 2^62)."""
     while True:
         candidate = rng.randrange(PRIME_LOW + 1, PRIME_HIGH, 2)
-        if sympy.isprime(candidate):
+        if is_prime(candidate):
             return candidate
 
 
-def random_point(cmap: CoefficientMap, rng: random.Random, modulus: int | None) -> EvalPoint:
+def random_point(table: VarTable, rng: random.Random, modulus: int | None) -> EvalPoint:
     """Parameters drawn uniformly from nonzero integers in [-10^4, 10^4]."""
     vals = []
-    for _ in cmap.param_order:
+    for _ in table.params:
         v = 0
         while v == 0:
             v = rng.randint(-VALUE_BOUND, VALUE_BOUND)
         vals.append(v)
-    return EvalPoint(table=cmap.table, values=tuple(vals), modulus=modulus)
+    return EvalPoint(table=table, values=tuple(vals), modulus=modulus)
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -94,31 +123,43 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def jacobian_polys(cmap: CoefficientMap) -> list[list[SparsePoly]]:
-    """Symbolic Jacobian: rows = coefficients, columns = parameters."""
-    return [
-        [poly.partial_by_index(c) for c in range(len(cmap.param_order))]
-        for poly in cmap.polys
-    ]
+def jacobian_ranks(
+    polys: Sequence[SparsePoly],
+    table: VarTable,
+    rng: random.Random,
+    trials: int,
+    subsets: Sequence[tuple[Sequence[int], int]],
+) -> list[int]:
+    """Maximum rank, over ``trials`` random points, of row subsets of the
+    Jacobian of ``polys`` (rows) by the parameters of ``table`` (columns).
+
+    Each subset is (row ids, target rank).  A trial draws a prime and a
+    nonzero point, evaluates every partial derivative mod p, and ranks each
+    subset that has not reached its target; trials stop once all have.
+    """
+    if trials < 1:
+        raise ModelError(f"trials must be at least 1, got {trials}")
+    partials = [[poly.partial_by_index(c) for c in range(len(table.params))] for poly in polys]
+    best = [0] * len(subsets)
+    for _ in range(trials):
+        if all(b >= target for b, (_, target) in zip(best, subsets)):
+            break
+        p = random_prime_62(rng)
+        point = random_point(table, rng, p)
+        evaluated = [[entry.evaluate(point) for entry in row] for row in partials]
+        for k, (ids, target) in enumerate(subsets):
+            if best[k] < target:
+                best[k] = max(best[k], rank_mod_p([evaluated[r] for r in ids], p))
+    return best
 
 
 def jacobian_rank(cmap: CoefficientMap, seed: int = 0, trials: int = DEFAULT_TRIALS) -> int:
     """Maximum Jacobian rank observed over ``trials`` random evaluations."""
-    if not cmap.polys:
-        return 0
-    jac = jacobian_polys(cmap)
     key = "|".join(str(p) for p in cmap.param_order) + "#" + str(len(cmap.polys))
     rng = derived_rng(seed, "jacobian", key)
-    best = 0
-    limit = min(len(cmap.polys), len(cmap.param_order))
-    for _ in range(trials):
-        p = random_prime_62(rng)
-        point = random_point(cmap, rng, p)
-        rows = [[entry.evaluate(point) for entry in row] for row in jac]
-        best = max(best, rank_mod_p(rows, p))
-        if best == limit:
-            break
-    return best
+    target = min(len(cmap.polys), len(cmap.param_order))
+    (rank,) = jacobian_ranks(cmap.polys, cmap.table, rng, trials, [(range(len(cmap.polys)), target)])
+    return rank
 
 
 # -- analysis ---------------------------------------------------------------
@@ -264,10 +305,14 @@ class AnalysisReport:
         }
 
 
-def _bound_tier(model: CompartmentalModel, sioc: bool, sc: bool) -> str | None:
-    single_in = len(model.inputs) == 1
+def bound_tier(model: CompartmentalModel) -> str | None:
+    """Which theory bounds the full-leak rank by |E|+|In u Out|: "path-cycle"
+    (strongly input-output connected with one output, or strongly connected
+    with one input), "output-connectable" (one output), or None."""
     single_out = len(model.outputs) == 1
-    if (sioc and single_out) or (sc and single_in):
+    if (single_out and graphprops.is_strongly_input_output_connected(model)) or (
+        len(model.inputs) == 1 and graphprops.is_strongly_connected(model)
+    ):
         return "path-cycle"
     if single_out and graphprops.is_output_connectable(model):
         return "output-connectable"
@@ -301,7 +346,7 @@ def classify_identifiability(
     param_count = len(cmap.param_order)
     sioc = graphprops.is_strongly_input_output_connected(model)
     sc = graphprops.is_strongly_connected(model)
-    tier = _bound_tier(model, sioc, sc)
+    tier = bound_tier(model)
     bound = len(model.edges) + len(model.in_union_out) if tier else None
     conditions = necessary_conditions(model)
     if bound is not None and full_leaks and rank > bound:
@@ -360,9 +405,7 @@ def expected_dimension_test(
     """
     if model.leaks != frozenset(model.vertices):
         raise HypothesesNotMet("expected-dimension test requires a leak in every compartment")
-    sioc = graphprops.is_strongly_input_output_connected(model)
-    sc = graphprops.is_strongly_connected(model)
-    tier = _bound_tier(model, sioc, sc)
+    tier = bound_tier(model)
     if tier is None:
         raise HypothesesNotMet(
             "needs strongly input-output connected with one output, strongly connected "
@@ -383,9 +426,7 @@ def is_identifiable_path_cycle_model(
     monomials alongside the decision."""
     if model.leaks != frozenset(model.vertices):
         raise HypothesesNotMet("identifiable path/cycle analysis requires leaks everywhere")
-    sioc = graphprops.is_strongly_input_output_connected(model)
-    sc = graphprops.is_strongly_connected(model)
-    if not ((sioc and len(model.outputs) == 1) or (sc and len(model.inputs) == 1)):
+    if bound_tier(model) != "path-cycle":
         raise HypothesesNotMet(
             "needs strongly input-output connected with one output or strongly "
             "connected with one input"

@@ -160,10 +160,6 @@ class CompartmentalModel:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    def canonical_key(self) -> str:
-        """Stable text form, used to derive per-model RNG streams."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def normalize_mode(mode: str) -> str:
     try:

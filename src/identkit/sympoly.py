@@ -168,34 +168,15 @@ class SparsePoly:
         res.terms = {e: k * c for e, c in self.terms.items()}
         return res
 
-    def partial(self, label: Hashable) -> "SparsePoly":
-        """Termwise partial derivative with respect to a named variable."""
-        idx = self.table.index_of(label)
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            de = list(e)
-            de[idx] = k - 1
-            key = tuple(de)
-            s = out.get(key, 0) + c * k
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return SparsePoly(self.table, out)
-
     def partial_by_index(self, idx: int) -> "SparsePoly":
+        """Termwise partial derivative by the variable in slot ``idx``."""
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             k = e[idx]
-            if k == 0:
-                continue
-            de = list(e)
-            de[idx] = k - 1
-            out[tuple(de)] = out.get(tuple(de), 0) + c * k
-        return SparsePoly(self.table, {e: c for e, c in out.items() if c})
+            if k:
+                de = e[:idx] + (k - 1,) + e[idx + 1 :]
+                out[de] = out.get(de, 0) + c * k
+        return SparsePoly(self.table, out)
 
     # -- D handling -----------------------------------------------------
 

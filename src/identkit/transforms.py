@@ -37,16 +37,6 @@ class TheoremCertificate:
         return {"claim": self.claim, "hypotheses": dict(self.hypotheses)}
 
 
-def _dimension_tier(model: CompartmentalModel) -> str | None:
-    sioc = graphprops.is_strongly_input_output_connected(model)
-    sc = graphprops.is_strongly_connected(model)
-    if (sioc and len(model.outputs) == 1) or (sc and len(model.inputs) == 1):
-        return "path-cycle"
-    if len(model.outputs) == 1 and graphprops.is_output_connectable(model):
-        return "output-connectable"
-    return None
-
-
 def remove_leaks(
     model: CompartmentalModel,
     keep,
@@ -70,7 +60,7 @@ def remove_leaks(
     cert = None
     full = model.leaks == frozenset(model.vertices)
     if full and model.in_union_out <= keep:
-        tier = _dimension_tier(model)
+        tier = identcore.bound_tier(model)
         if tier is not None:
             result = identcore.expected_dimension_test(model, seed, trials)
             if result.equals_bound:
@@ -107,7 +97,7 @@ def add_leak(
     new_model = model.with_leaks(model.leaks | {k})
     cert = None
     if len(model.leaks) == len(model.in_union_out):
-        tier = _dimension_tier(model)
+        tier = identcore.bound_tier(model)
         if tier is not None:
             bound = len(model.edges) + len(model.in_union_out)
             rank = identcore.jacobian_rank(

@@ -4,8 +4,10 @@ suites, and seed stability.
 Each criterion prints one PASS/FAIL line (run with ``-s`` or check the
 captured output).  The census criteria compare against the reference table
 this project reproduces; when a cell disagrees, a discrepancy report with
-per-seed counts and member graphs is written next to this file instead of
-silently weakening the comparison.
+per-seed counts and member graphs is written to a fresh temporary directory,
+named in the failure message, instead of silently weakening the comparison.
+The committed ``discrepancy_*.json`` files next to this module are earlier
+such reports, kept as evidence.
 
 A published cell that an exact computation has proven wrong is listed in
 ``ERRATA``; its ``REFERENCE_ROWS`` entry keeps the published number.  Such a
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
@@ -45,7 +48,6 @@ from conftest import (
 )
 from oracles import expdim_in1_out1_members
 
-HERE = os.path.dirname(__file__)
 SLOW_ENABLED = os.environ.get("IDENTKIT_RUN_SLOW_CENSUS") == "1"
 
 # Reference table: (n, m) -> (total, sc, e11, e123, s12, e12, s132, e132),
@@ -135,9 +137,10 @@ def _check_row(n, m, reference, seed=42, jobs=1):
     if not mismatches:
         return
     reports = []
+    bundle_dir = tempfile.mkdtemp(prefix="identkit-discrepancy-")
     for cell, expected, computed in mismatches:
         report = discrepancy_report(n, m, cell, expected)
-        path = os.path.join(HERE, f"discrepancy_{n}_{m}_{cell}.json")
+        path = os.path.join(bundle_dir, f"discrepancy_{n}_{m}_{cell}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
         reports.append(

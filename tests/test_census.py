@@ -103,7 +103,7 @@ class TestRows:
         sioc_23 = expdim_23 = 0
         for edges in enumerate_graphs(n, m):
             model = make_model(n, edges, {1}, {3}, range(1, n + 1))
-            if not sioc_via_augmentation(model):
+            if not sioc_via_augmentation(n, edges, model.inputs, model.outputs):
                 continue
             sioc_23 += 1
             rank = jacobian_rank(coefficient_map(model, "diag"), seed=3)

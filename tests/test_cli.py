@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import identkit
 from identkit.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -85,6 +88,46 @@ class TestAnalyze:
             "analyze", "--model", fixture("fan_in.json"), "--mode", "diag",
         )
         assert code == 1
+
+    def test_zero_trials_rejected(self, capsys):
+        code, out = run(
+            capsys,
+            "analyze", "--model", fixture("cascade_exchange.json"), "--leaks", "all",
+            "--trials", "0", "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ModelError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--n", "3", "--m", "abc"],
+        ["census", "--n", "3", "--m", "2..x"],
+        ["transform", "--model", fixture("loop_with_tail.json"), "--attach-path", "1,2"],
+        ["transform", "--model", fixture("loop_with_tail.json"), "--remove-leaks", "a"],
+    ],
+    ids=["m-not-int", "m-range-not-int", "attach-path-two-ints", "remove-leaks-not-int"],
+)
+def test_malformed_arguments_give_error_document(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == "ModelError"
+    code, out = run(capsys, *argv)
+    assert code == 1 and out == ""
+
+
+def test_import_loads_neither_sympy_nor_networkx():
+    src = os.path.dirname(os.path.dirname(identkit.__file__))
+    probe = "import sys, identkit.cli; print(sorted({'sympy', 'networkx'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestIoeq:
@@ -185,6 +228,17 @@ class TestCensusCommand:
         assert lines[2].startswith("3,3,20,2,2,2,7,4,10,8")
         meta = json.load(open(out_path + ".meta.json"))
         assert meta["seed"] == 42 and "runtime_seconds" in meta
+
+    def test_zero_trials_rejected(self, capsys, tmp_path):
+        out_path = str(tmp_path / "rows.csv")
+        code, out = run(
+            capsys,
+            "census", "--n", "3", "--m", "3", "--trials", "0", "--out", out_path,
+            "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ModelError"
+        assert not os.path.exists(out_path)
 
     def test_single_m_value(self, capsys, tmp_path):
         out_path = str(tmp_path / "one.csv")

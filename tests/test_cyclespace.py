@@ -61,6 +61,13 @@ class TestCycleEnumeration:
 
 
 class TestPathEnumeration:
+    def test_cap(self):
+        """K5 has 1 + 3 + 6 + 6 = 16 simple paths from 1 to 5."""
+        m = make_model(5, [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j], {1}, {5}, set())
+        assert len(enumerate_io_paths(m, cap=16)) == 16
+        with pytest.raises(CapExceeded):
+            enumerate_io_paths(m, cap=15)
+
     def test_cascade_single_path(self):
         assert enumerate_io_paths(cascade_exchange()) == [(((1, 2)),)]
 

@@ -16,8 +16,6 @@ from identkit.graphprops import (
     is_strongly_connected,
     is_strongly_input_output_connected,
     output_reachable_set,
-    output_reachable_subgraph,
-    reachability,
     satisfies_almost_isc,
     sioc_via_augmentation,
 )
@@ -66,27 +64,6 @@ class TestOutputReachable:
     def test_isolated_output(self):
         m = make_model(3, [(1, 3)], {1}, {2}, set())
         assert output_reachable_set(m, 2) == frozenset({2})
-        sub = output_reachable_subgraph(m, 2)
-        assert sub.n == 1 and sub.edges == () and sub.outputs == {1}
-
-    def test_subgraph_relabeling(self):
-        m = make_model(4, [(1, 3), (3, 4), (2, 1)], {2}, {4}, {3})
-        sub = output_reachable_subgraph(m, 4)
-        # reaches 4: {1, 2, 3, 4} minus nothing -> all; relabel identity
-        assert sub.n == 4
-        m2 = make_model(4, [(1, 3), (3, 4)], {1}, {4}, {3})
-        sub2 = output_reachable_subgraph(m2, 4)
-        assert sub2.n == 3 and sub2.edges == ((1, 2), (2, 3))
-
-    def test_sccs_match_networkx(self, rng):
-        for _ in range(200):
-            m = random_model(rng)
-            cache = reachability(m)
-            g = nx.DiGraph()
-            g.add_nodes_from(m.vertices)
-            g.add_edges_from(m.edges)
-            expected = {frozenset(c) for c in nx.strongly_connected_components(g)}
-            assert set(cache.sccs) == expected
 
 
 class TestOutputConnectable:
@@ -122,7 +99,9 @@ class TestSIOC:
             m = random_model(rng)
             if len(m.inputs) != 1 and len(m.outputs) != 1:
                 continue
-            assert is_strongly_input_output_connected(m) == sioc_via_augmentation(m), m
+            assert is_strongly_input_output_connected(m) == sioc_via_augmentation(
+                m.n, m.edges, m.inputs, m.outputs
+            ), m
             cases += 1
 
     def test_sioc_single_output_implies_output_connectable(self, rng):

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+import sympy
 
 from identkit.identcore import (
+    PRIME_HIGH,
+    PRIME_LOW,
     HypothesesNotMet,
     classify_identifiability,
     edge_formula_check,
     expected_dimension_test,
     is_identifiable_path_cycle_model,
+    is_prime,
     jacobian_rank,
     necessary_conditions,
     self_cycles_identifiable,
 )
 from identkit.graphprops import is_strongly_connected, is_strongly_input_output_connected
 from identkit.ioeq import coefficient_map
-from identkit.model import MODE_DIAG, MODE_EXPLICIT, make_model
+from identkit.model import MODE_DIAG, MODE_EXPLICIT, ModelError, make_model
 
 from conftest import (
     cascade_exchange,
@@ -51,6 +57,41 @@ class TestJacobianRank:
         cm = coefficient_map(star_two_exchanges({1, 2, 3, 4}), MODE_DIAG)
         ranks = [jacobian_rank(cm, seed=5, trials=t) for t in (1, 2, 4)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        cm = coefficient_map(cascade_exchange(), MODE_DIAG)
+        with pytest.raises(ModelError):
+            jacobian_rank(cm, seed=0, trials=trials)
+        empty = coefficient_map(make_model(1, [], {1}, {1}, set()), MODE_EXPLICIT)
+        assert empty.polys == ()
+        with pytest.raises(ModelError):
+            jacobian_rank(empty, seed=0, trials=trials)
+
+
+class TestIsPrime:
+    def test_strong_pseudoprime_to_nine_bases(self):
+        psi_9 = 3825123056546413051  # passes bases 2..23, fails base 37
+        assert PRIME_LOW < psi_9 < PRIME_HIGH
+        assert not is_prime(psi_9)
+
+    def test_refuses_psi_12(self):
+        """psi_12 passes all twelve bases, so it is the first number the test
+        cannot decide; it is refused instead of called prime."""
+        psi_12 = 318665857834031151167461
+        assert not sympy.isprime(psi_12)
+        with pytest.raises(ValueError):
+            is_prime(psi_12)
+        assert is_prime(psi_12 - 2) == sympy.isprime(psi_12 - 2)
+
+    def test_small_numbers_match_sympy(self):
+        assert [n for n in range(3000) if is_prime(n)] == list(sympy.primerange(3000))
+
+    def test_matches_sympy_on_62_bit_candidates(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            candidate = rng.randrange(PRIME_LOW + 1, PRIME_HIGH, 2)
+            assert is_prime(candidate) == sympy.isprime(candidate), candidate
 
 
 class TestClassify:

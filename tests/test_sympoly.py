@@ -45,7 +45,7 @@ a11, a22, a33, a44 = (Param.diag(v) for v in (1, 2, 3, 4))
 class TestRingOps:
     def test_partial_of_product(self):
         t = table_for(a21, a32)
-        assert mono(t, a21, a32).partial(a21) == mono(t, a32)
+        assert mono(t, a21, a32).partial_by_index(t.index_of(a21)) == mono(t, a32)
 
     def test_expand_two_linear_factors(self):
         t = table_for(a11, a22)
@@ -57,7 +57,7 @@ class TestRingOps:
     def test_partial_with_sign(self):
         t = table_for(a23, a32, a11, a22)
         poly = mono(t, a11, a22) - mono(t, a23, a32)
-        assert poly.partial(a23) == mono(t, a32, coeff=-1)
+        assert poly.partial_by_index(t.index_of(a23)) == mono(t, a32, coeff=-1)
 
     def test_variable_mismatch(self):
         t1, t2 = table_for(a21), table_for(a32)
@@ -258,5 +258,5 @@ class TestDerivativeIdentity:
             minor = determinant(sub, table)
             if (i + j) % 2:
                 minor = -minor
-            assert minor == -det_tilde.partial(added)
+            assert minor == -det_tilde.partial_by_index(table.index_of(added))
             cases += 1
