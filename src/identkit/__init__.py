@@ -13,7 +13,7 @@ from .model import (
     make_model,
     validate,
 )
-from .sympoly import EvalPoint, SparsePoly, VarTable
+from .sympoly import SparsePoly, VarTable
 from .ioeq import CoefficientMap, IOEquation, coefficient_map, expected_coefficient_count, io_equation
 from .cyclespace import (
     IncidenceMatrix,

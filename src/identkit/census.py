@@ -28,14 +28,15 @@ import csv
 import json
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice
 from multiprocessing import Pool
 
 from . import graphprops
 from .identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
-from .model import make_model, compartmental_matrix
-from .sympoly import SparsePoly, char_poly_coeffs, signed_minor_coeffs
+from .model import ModelError, compartmental_matrix, make_model
+from .sympoly import char_poly_coeffs, signed_minor_coeffs
 
 CHECKPOINT_EVERY = 10_000
 
@@ -108,10 +109,6 @@ def row_feasibility(n: int, m: int) -> dict[str, bool]:
 # -- per-graph evaluation -----------------------------------------------
 
 
-def _nonzero_rows(polys) -> list[SparsePoly]:
-    return [p for p in polys if p.terms]
-
-
 def _evaluate_graph(
     n: int, edges: tuple[tuple[int, int], ...], rng, feas: dict[str, bool], trials: int
 ) -> dict[str, bool]:
@@ -145,24 +142,21 @@ def _evaluate_graph(
     entries = matrix.entries
     table = matrix.table
 
-    lhs = _nonzero_rows(char_poly_coeffs(entries, table))
-    minor_rows: dict[tuple[int, int], list[SparsePoly]] = {}
+    # jacobian rows by position: the n char-poly coefficients, then one block per minor
+    polys = char_poly_coeffs(entries, table)
+    blocks: dict[tuple[int, int], range] = {}
     for _, _, positions, _ in active:
         for pos in positions:
-            if pos not in minor_rows:
-                minor_rows[pos] = _nonzero_rows(signed_minor_coeffs(entries, table, *pos))
+            if pos not in blocks:
+                coeffs = signed_minor_coeffs(entries, table, *pos)
+                blocks[pos] = range(len(polys), len(polys) + len(coeffs))
+                polys += coeffs
+    subsets = [
+        ([*range(n), *(r for pos in positions for r in blocks[pos])], bound)
+        for _, _, positions, bound in active
+    ]
 
-    # distinct jacobian rows shared across configurations, numbered in first-seen order
-    row_ids: dict[SparsePoly, int] = {}
-    lhs_ids = [row_ids.setdefault(p, len(row_ids)) for p in lhs]
-    subsets: list[tuple[list[int], int]] = []
-    for _, _, positions, bound in active:
-        ids = set(lhs_ids)
-        for pos in positions:
-            ids.update(row_ids.setdefault(p, len(row_ids)) for p in minor_rows[pos])
-        subsets.append((sorted(ids), bound))
-
-    ranks = jacobian_ranks(list(row_ids), table, rng, trials, subsets)
+    ranks = jacobian_ranks(polys, table, rng, trials, subsets)
     for (name, _, _, bound), rank in zip(active, ranks):
         if rank > bound:
             raise AssertionError(f"rank {rank} exceeds bound {bound} for {name} on edges {edges}")
@@ -196,12 +190,18 @@ def census_row(
     checkpoint_path: str | None = None,
     progress=None,
 ) -> CensusRow:
-    """Count all graphs at (n, m).
+    """Count all graphs at (n, m); ModelError when n < 1 or m is outside
+    0..n(n-1).
 
-    With a checkpoint path, partial counts are flushed every
-    ``CHECKPOINT_EVERY`` graphs and an interrupted run resumes from the last
-    flush (the file must match n, m, and seed).
+    With ``jobs > 1`` one process pool serves the whole row.  With a
+    checkpoint path, partial counts are flushed every ``CHECKPOINT_EVERY``
+    graphs and an interrupted run resumes from the last flush (the file must
+    match n, m, and seed).
     """
+    if n < 1:
+        raise ModelError(f"n={n} must be at least 1")
+    if not 0 <= m <= n * (n - 1):
+        raise ModelError(f"m={m} outside 0..{n * (n - 1)} for n={n}")
     total = total_graphs(n, m)
     feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
@@ -214,33 +214,30 @@ def census_row(
             counts = list(state["counts"])
             next_index = state["next_index"]
 
-    block = CHECKPOINT_EVERY
-    while next_index < total:
-        stop = min(next_index + block, total)
-        if jobs > 1:
-            step = max(1, (stop - next_index + jobs - 1) // jobs)
+    # each checkpoint block is split into one contiguous chunk per worker
+    chunks = max(jobs, 1)
+    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+        mapper = pool.map if pool else map
+        while next_index < total:
+            stop = min(next_index + CHECKPOINT_EVERY, total)
+            step = -(-(stop - next_index) // chunks)
             tasks = [
                 (n, m, s, min(s + step, stop), seed, trials)
                 for s in range(next_index, stop, step)
             ]
-            with Pool(jobs) as pool:
-                for part in pool.map(_eval_chunk, tasks):
-                    counts = [a + b for a, b in zip(counts, part)]
-            pool.join()
-        else:
-            part = _eval_chunk((n, m, next_index, stop, seed, trials))
-            counts = [a + b for a, b in zip(counts, part)]
-        next_index = stop
-        if checkpoint_path:
-            tmp = checkpoint_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"n": n, "m": m, "seed": seed, "next_index": next_index, "counts": counts},
-                    fh,
-                )
-            os.replace(tmp, checkpoint_path)
-        if progress:
-            progress(n, m, next_index, total)
+            for part in mapper(_eval_chunk, tasks):
+                counts = [a + b for a, b in zip(counts, part)]
+            next_index = stop
+            if checkpoint_path:
+                tmp = checkpoint_path + ".tmp"
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(
+                        {"n": n, "m": m, "seed": seed, "next_index": next_index, "counts": counts},
+                        fh,
+                    )
+                os.replace(tmp, checkpoint_path)
+            if progress:
+                progress(n, m, next_index, total)
 
     cells = {
         name: (counts[pos] if feas[name] else None) for pos, name in enumerate(CELLS)

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze, ioeq, cyclespace, transform, construct, census.
-Every run reports the seed and package version so results can be reproduced
-exactly; the default seed comes from the IDENTKIT_SEED environment variable.
+Every run reports the package version, and the commands that draw random
+points (all but ioeq and cyclespace) report their seed, so results can be
+reproduced exactly; the default seed comes from the IDENTKIT_SEED
+environment variable.
 """
 
 from __future__ import annotations
@@ -259,12 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_arg=True):
+    def common(p, model_arg=True, ranks=True):
         if model_arg:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--leaks", help="'all', 'none', or comma list overriding the file")
-        p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--trials", type=int, default=identcore.DEFAULT_TRIALS)
+        if ranks:
+            p.add_argument("--seed", type=int, default=_default_seed())
+            p.add_argument("--trials", type=int, default=identcore.DEFAULT_TRIALS)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="rank analysis and verdict")
@@ -273,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("ioeq", help="print input-output equations")
-    common(p)
+    common(p, ranks=False)
     p.add_argument("--mode", choices=("explicit", "diag"), default=None)
     p.add_argument("--output", type=int, help="restrict to one output compartment")
     p.set_defaults(func=_cmd_ioeq)
 
     p = sub.add_parser("cyclespace", help="path/cycle monomials and their rank")
-    common(p)
+    common(p, ranks=False)
     p.add_argument("--cap", type=int, default=cyclespace.DEFAULT_CAP)
     p.set_defaults(func=_cmd_cyclespace)
 

@@ -39,22 +39,7 @@ def in_masks(n: int, edges) -> list[int]:
 def closure_masks(masks: list[int]) -> list[int]:
     """Per-vertex reachability closure (not including the vertex itself
     unless it lies on a cycle)."""
-    n = len(masks)
-    reach = list(masks)
-    for v in range(n):
-        acc = reach[v]
-        frontier = acc
-        while frontier:
-            new = 0
-            rest = frontier
-            while rest:
-                low = rest & (-rest)
-                new |= masks[low.bit_length() - 1]
-                rest ^= low
-            frontier = new & ~acc
-            acc |= new
-        reach[v] = acc
-    return reach
+    return [reachable_from(masks, out) for out in masks]
 
 
 def reachable_from(masks: list[int], start_mask: int) -> int:
@@ -94,48 +79,21 @@ def weakly_connected_raw(n: int, edges) -> bool:
 
 def induced_strongly_connected(masks: list[int], member_mask: int) -> bool:
     """Is the induced subgraph on ``member_mask`` strongly connected?"""
-    count = member_mask.bit_count()
-    if count <= 1:
+    if member_mask.bit_count() <= 1:
         return True
     start = member_mask & (-member_mask)
-    restricted = [masks[v] & member_mask for v in range(len(masks))]
-    acc = start
-    frontier = start
-    while frontier:
-        new = 0
-        rest = frontier
-        while rest:
-            low = rest & (-rest)
-            new |= restricted[low.bit_length() - 1]
-            rest ^= low
-        frontier = new & ~acc
-        acc |= new
-    if acc != member_mask:
+    restricted = [
+        out & member_mask if member_mask >> v & 1 else 0 for v, out in enumerate(masks)
+    ]
+    if reachable_from(restricted, start) != member_mask:
         return False
-    # backward pass within the subset
     back = [0] * len(masks)
-    rest = member_mask
-    while rest:
-        low = rest & (-rest)
-        v = low.bit_length() - 1
-        outs = restricted[v]
+    for v, outs in enumerate(restricted):
         while outs:
-            lo = outs & (-outs)
-            back[lo.bit_length() - 1] |= low
-            outs ^= lo
-        rest ^= low
-    acc = start
-    frontier = start
-    while frontier:
-        new = 0
-        rest = frontier
-        while rest:
-            low = rest & (-rest)
-            new |= back[low.bit_length() - 1]
-            rest ^= low
-        frontier = new & ~acc
-        acc |= new
-    return acc == member_mask
+            low = outs & (-outs)
+            back[low.bit_length() - 1] |= 1 << v
+            outs ^= low
+    return reachable_from(back, start) == member_mask
 
 
 # -- predicates on models -------------------------------------------------

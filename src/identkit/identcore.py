@@ -1,9 +1,10 @@
 """Rank-based identifiability decisions and structural necessary conditions.
 
 Local identifiability is decided by the generic rank of the Jacobian of the
-coefficient map: the Jacobian is built symbolically (exact partial
-derivatives) and evaluated at random integer points modulo independent
-random ~62-bit primes; the rank reported is the maximum over trials.
+coefficient map: at random nonzero integer points, modulo independent random
+~62-bit primes, the gradient of every coefficient polynomial is evaluated in
+one pass over its terms (no symbolic partial derivative is built); the rank
+reported is the maximum over trials.
 ``jacobian_ranks`` is the one rank engine, shared with the census.  A rank
 deficit observed at random points is overwhelming but not proof-grade
 evidence, so reports keep it separate from the certificate-grade structural
@@ -21,7 +22,7 @@ from . import cyclespace, graphprops
 from .cyclespace import PathCycleBasis
 from .ioeq import CoefficientMap, coefficient_map, expected_coefficient_count
 from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, ModelError, normalize_mode
-from .sympoly import EvalPoint, SparsePoly, VarTable
+from .sympoly import SparsePoly, VarTable, jacobian_at
 
 VALUE_BOUND = 10_000
 PRIME_LOW = 2**61
@@ -80,15 +81,16 @@ def random_prime_62(rng: random.Random) -> int:
             return candidate
 
 
-def random_point(table: VarTable, rng: random.Random, modulus: int | None) -> EvalPoint:
-    """Parameters drawn uniformly from nonzero integers in [-10^4, 10^4]."""
+def random_point(table: VarTable, rng: random.Random) -> tuple[int, ...]:
+    """Parameter values drawn uniformly from nonzero integers in [-10^4, 10^4],
+    so none vanishes mod a prime above 2^61."""
     vals = []
     for _ in table.params:
         v = 0
         while v == 0:
             v = rng.randint(-VALUE_BOUND, VALUE_BOUND)
         vals.append(v)
-    return EvalPoint(table=table, values=tuple(vals), modulus=modulus)
+    return tuple(vals)
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -134,22 +136,20 @@ def jacobian_ranks(
     Jacobian of ``polys`` (rows) by the parameters of ``table`` (columns).
 
     Each subset is (row ids, target rank).  A trial draws a prime and a
-    nonzero point, evaluates every partial derivative mod p, and ranks each
-    subset that has not reached its target; trials stop once all have.
+    nonzero point, evaluates the Jacobian there mod p, and ranks each subset
+    that has not reached its target; trials stop once all have.
     """
     if trials < 1:
         raise ModelError(f"trials must be at least 1, got {trials}")
-    partials = [[poly.partial_by_index(c) for c in range(len(table.params))] for poly in polys]
     best = [0] * len(subsets)
     for _ in range(trials):
         if all(b >= target for b, (_, target) in zip(best, subsets)):
             break
         p = random_prime_62(rng)
-        point = random_point(table, rng, p)
-        evaluated = [[entry.evaluate(point) for entry in row] for row in partials]
+        jac = jacobian_at(polys, random_point(table, rng), p)
         for k, (ids, target) in enumerate(subsets):
             if best[k] < target:
-                best[k] = max(best[k], rank_mod_p([evaluated[r] for r in ids], p))
+                best[k] = max(best[k], rank_mod_p([jac[r] for r in ids], p))
     return best
 
 

@@ -8,6 +8,8 @@ characteristic polynomials).  Zero coefficients are never stored; the zero
 polynomial is the empty dict.
 
 All arithmetic is exact; no floating point appears anywhere in this module.
+:func:`jacobian_at` evaluates the gradients of D-free polynomials at an
+integer point modulo a prime without building any derivative polynomial.
 Polynomials built over different variable tables cannot be mixed
 (:class:`VariableMismatch`).
 """
@@ -36,10 +38,6 @@ class VarTable:
     @property
     def arity(self) -> int:
         return len(self.params) + 1
-
-    @property
-    def d_slot(self) -> int:
-        return len(self.params)
 
     def index_of(self, label: Hashable) -> int:
         try:
@@ -89,12 +87,6 @@ class SparsePoly:
 
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.table.arity: 1}
-
-    def d_degree(self) -> int:
-        """Degree in ``D``; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[-1] for e in self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
@@ -160,24 +152,6 @@ class SparsePoly:
         res.terms = out
         return res
 
-    def scale(self, k: int) -> "SparsePoly":
-        if k == 0:
-            return SparsePoly.zero(self.table)
-        res = SparsePoly.__new__(SparsePoly)
-        res.table = self.table
-        res.terms = {e: k * c for e, c in self.terms.items()}
-        return res
-
-    def partial_by_index(self, idx: int) -> "SparsePoly":
-        """Termwise partial derivative by the variable in slot ``idx``."""
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k:
-                de = e[:idx] + (k - 1,) + e[idx + 1 :]
-                out[de] = out.get(de, 0) + c * k
-        return SparsePoly(self.table, out)
-
     # -- D handling -----------------------------------------------------
 
     def d_coefficient(self, power: int) -> "SparsePoly":
@@ -187,31 +161,6 @@ class SparsePoly:
             if e[-1] == power:
                 out[e[:-1] + (0,)] = c
         return SparsePoly(self.table, out)
-
-    # -- evaluation -----------------------------------------------------
-
-    def evaluate(self, point: "EvalPoint") -> int:
-        """Exact evaluation at integer parameter values (modular when set).
-
-        The point assigns every named parameter; ``D`` has no assignment, so
-        evaluating a polynomial that still contains ``D`` is an error.
-        """
-        if point.table != self.table:
-            raise VariableMismatch("evaluation point built over a different variable table")
-        mod = point.modulus
-        total = 0
-        vals = point.values
-        for e, c in self.terms.items():
-            if e[-1]:
-                raise VariableMismatch("cannot evaluate a polynomial containing D")
-            term = c
-            for idx, k in enumerate(e[:-1]):
-                if k:
-                    term *= pow(vals[idx], k, mod) if mod else vals[idx] ** k
-            total += term
-            if mod:
-                total %= mod
-        return total % mod if mod else total
 
     # -- rendering ------------------------------------------------------
 
@@ -248,19 +197,38 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """Integer assignment for every named parameter, with optional prime modulus."""
+# -- gradients at a point ------------------------------------------------
 
-    table: VarTable
-    values: tuple[int, ...]
-    modulus: int | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.table.params):
+def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> list[list[int]]:
+    """Jacobian of D-free ``polys`` (rows) by their parameters (columns) at
+    ``values``, reduced mod the prime ``p``; no derivative is built.
+
+    A term c * prod x_i^k_i is valued once, as v mod p, and adds
+    k_i * v * x_i^-1 to column i.  Every value must therefore be nonzero mod
+    p; ``pow(x, -1, p)`` raises otherwise, so a zero value cannot give a
+    silently wrong entry.
+    """
+    inverse = [pow(x, -1, p) for x in values]
+    rows = []
+    for poly in polys:
+        if len(poly.table.params) != len(values):
             raise VariableMismatch(
-                f"point assigns {len(self.values)} values for {len(self.table.params)} parameters"
+                f"point assigns {len(values)} values for {len(poly.table.params)} parameters"
             )
+        grad = [0] * len(values)
+        for e, c in poly.terms.items():
+            if e[-1]:
+                raise VariableMismatch("cannot evaluate a polynomial containing D")
+            support = [(i, k) for i, k in enumerate(e) if k]
+            v = c
+            for i, k in support:
+                v *= values[i] if k == 1 else values[i] ** k
+            v %= p
+            for i, k in support:
+                grad[i] += k * v * inverse[i]
+        rows.append([g % p for g in grad])
+    return rows
 
 
 # -- symbolic determinants ---------------------------------------------

@@ -294,3 +294,27 @@ def expdim_in1_out1_members(n: int, m: int, value_bound: int = 10**6):
         if rank == bound:
             members.append((idx, edges))
     return tuple(members)
+
+
+# -- derivatives by sympy ----------------------------------------------------
+
+
+def sympy_poly(poly: SparsePoly):
+    """``poly`` in a sympy ring with one generator per table slot (D last);
+    returns the element and the generators."""
+    R, *gens = ring([f"x{i}" for i in range(len(poly.table.params))] + ["D"], ZZ)
+    return R(dict(poly.terms)), gens
+
+
+def sympy_partial(poly: SparsePoly, idx: int):
+    """The derivative of ``poly`` by the parameter in slot ``idx``, taken by sympy."""
+    element, gens = sympy_poly(poly)
+    return element.diff(gens[idx])
+
+
+def sympy_gradient_mod_p(poly: SparsePoly, values, p: int) -> list[int]:
+    """The gradient of a D-free ``poly`` at ``values`` mod p: sympy
+    differentiates, and each derivative is valued exactly before reduction."""
+    element, gens = sympy_poly(poly)
+    point = tuple(values) + (0,)
+    return [_integer_value(element.diff(x), point) % p for x in gens[:-1]]

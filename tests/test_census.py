@@ -8,6 +8,7 @@ full published-table comparison lives in the acceptance suite.
 from __future__ import annotations
 
 import json
+import multiprocessing.pool
 
 import pytest
 
@@ -131,6 +132,24 @@ class TestCheckpointing(object):
         assert resumed == full
         state = json.load(open(path))
         assert state["next_index"] == total_graphs(3, 3)
+
+    def test_one_pool_serves_every_block(self, tmp_path, monkeypatch):
+        import identkit.census as census_mod
+
+        pools = []
+
+        class CountingPool(multiprocessing.pool.Pool):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
+        monkeypatch.setattr(census_mod, "Pool", CountingPool)
+        path = str(tmp_path / "ckpt.json")
+        row = census_row(3, 3, seed=5, jobs=2, checkpoint_path=path)
+        assert len(pools) == 1  # three blocks of 7, 7 and 6 graphs
+        assert row == census_row(3, 3, seed=5, jobs=1)
+        assert json.load(open(path))["next_index"] == total_graphs(3, 3)
 
     def test_mismatched_checkpoint_is_ignored(self, tmp_path):
         path = str(tmp_path / "ckpt.json")

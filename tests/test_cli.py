@@ -146,6 +146,15 @@ class TestIoeq:
         assert eq["lhs"][0] == "-a11 - a22 - a33 - a44"
 
 
+@pytest.mark.parametrize("command", ["ioeq", "cyclespace"])
+def test_commands_without_random_points_take_no_seed(capsys, command):
+    code, out = run(capsys, command, "--model", fixture("cascade_exchange.json"))
+    assert code == 0 and "seed=n/a" in out
+    for flag in ("--seed", "--trials"):
+        with pytest.raises(SystemExit):
+            main([command, "--model", fixture("cascade_exchange.json"), flag, "1"])
+
+
 class TestCyclespace:
     def test_cascade_report(self, capsys):
         code, out = run(capsys, "cyclespace", "--model", fixture("cascade_exchange.json"))
@@ -235,6 +244,16 @@ class TestCensusCommand:
             capsys,
             "census", "--n", "3", "--m", "3", "--trials", "0", "--out", out_path,
             "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ModelError"
+        assert not os.path.exists(out_path)
+
+    @pytest.mark.parametrize("n, m", [("0", "0"), ("3", "99"), ("3", "-1")])
+    def test_impossible_row_rejected(self, capsys, tmp_path, n, m):
+        out_path = str(tmp_path / "rows.csv")
+        code, out = run(
+            capsys, "census", "--n", n, "--m", m, "--out", out_path, "--format", "json"
         )
         assert code == 1
         assert json.loads(out)["error"] == "ModelError"

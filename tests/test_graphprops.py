@@ -9,12 +9,14 @@ import pytest
 
 from identkit.graphprops import (
     PreconditionViolated,
+    closure_masks,
     dist,
     is_inductively_strongly_connected,
     is_output_connectable,
     is_output_connectable_to_every_output,
     is_strongly_connected,
     is_strongly_input_output_connected,
+    out_masks,
     output_reachable_set,
     satisfies_almost_isc,
     sioc_via_augmentation,
@@ -30,7 +32,7 @@ from conftest import (
     random_model,
     three_cycle,
 )
-from oracles import exhaustive_isc, oracle_strongly_connected
+from oracles import dense_reachability, exhaustive_isc, oracle_strongly_connected
 
 
 class TestStronglyConnected:
@@ -52,6 +54,14 @@ class TestStronglyConnected:
             g.add_nodes_from(m.vertices)
             g.add_edges_from(m.edges)
             assert is_strongly_connected(m) == nx.is_strongly_connected(g)
+
+    def test_closure_masks_against_dense_oracle(self, rng):
+        for _ in range(200):
+            m = random_model(rng)
+            closure = closure_masks(out_masks(m.n, m.edges))
+            reach = dense_reachability(m)
+            for v in m.vertices:
+                assert closure[v - 1] == sum(1 << (w - 1) for w in reach[v]), m
 
 
 class TestOutputReachable:

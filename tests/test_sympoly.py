@@ -1,24 +1,43 @@
-"""Polynomial kernel tests: ring ops, characteristic polynomials, minors,
-and equivalence with brute-force oracles."""
+"""Polynomial kernel tests: ring ops, gradients at a point, characteristic
+polynomials, minors, and equivalence with brute-force and sympy oracles."""
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
-from identkit.model import MODE_DIAG, MODE_EXPLICIT, Param, compartmental_matrix, make_model
+from identkit.identcore import random_point, random_prime_62
+from identkit.ioeq import coefficient_map
+from identkit.model import (
+    MODE_DIAG,
+    MODE_EXPLICIT,
+    Param,
+    compartmental_matrix,
+    load_model,
+    make_model,
+)
 from identkit.sympoly import (
-    EvalPoint,
     SparsePoly,
     VariableMismatch,
     VarTable,
     char_matrix,
     char_poly_coeffs,
     determinant,
+    jacobian_at,
     signed_minor_coeffs,
 )
 
 from conftest import cascade_exchange, random_model
-from oracles import leibniz_det
+from oracles import leibniz_det, sympy_gradient_mod_p, sympy_partial, sympy_poly
+
+P = 2**61 - 1  # a Mersenne prime
+FIXTURE_MODELS = sorted(
+    path
+    for path in (Path(__file__).parent.parent / "fixtures").glob("*.json")
+    if not path.name.startswith("construct")
+)
 
 
 def mono(table, *params, coeff=1):
@@ -45,7 +64,7 @@ a11, a22, a33, a44 = (Param.diag(v) for v in (1, 2, 3, 4))
 class TestRingOps:
     def test_partial_of_product(self):
         t = table_for(a21, a32)
-        assert mono(t, a21, a32).partial_by_index(t.index_of(a21)) == mono(t, a32)
+        assert jacobian_at([mono(t, a21, a32)], (2, 3), P) == [[3, 2]]
 
     def test_expand_two_linear_factors(self):
         t = table_for(a11, a22)
@@ -57,7 +76,7 @@ class TestRingOps:
     def test_partial_with_sign(self):
         t = table_for(a23, a32, a11, a22)
         poly = mono(t, a11, a22) - mono(t, a23, a32)
-        assert poly.partial_by_index(t.index_of(a23)) == mono(t, a32, coeff=-1)
+        assert jacobian_at([poly], (2, 3, 5, 7), P) == [[P - 3, P - 2, 7, 5]]
 
     def test_variable_mismatch(self):
         t1, t2 = table_for(a21), table_for(a32)
@@ -78,30 +97,72 @@ class TestRingOps:
 
 
 class TestEvaluate:
+    """Gradients at a point, by ``jacobian_at``."""
+
     def test_product(self):
         t = table_for(a21, a32)
-        pt = EvalPoint(t, (2, 3))
-        assert mono(t, a21, a32).evaluate(pt) == 6
+        assert jacobian_at([mono(t, a21, a21, a32)], (2, 3), P) == [[12, 4]]
 
     def test_zero_poly(self):
         t = table_for(a21)
-        assert SparsePoly.zero(t).evaluate(EvalPoint(t, (7,))) == 0
+        assert jacobian_at([SparsePoly.zero(t)], (7,), P) == [[0]]
 
     def test_d_is_not_evaluable(self):
         t = table_for(a21)
         with pytest.raises(VariableMismatch):
-            SparsePoly.d_var(t).evaluate(EvalPoint(t, (1,)))
+            jacobian_at([SparsePoly.d_var(t)], (1,), P)
 
     def test_modular(self):
         t = table_for(a21)
         p = mono(t, a21, a21, coeff=5)
-        assert p.evaluate(EvalPoint(t, (-3,), modulus=7)) == (5 * 9) % 7
+        assert jacobian_at([p], (-3,), 7) == [[(2 * 5 * -3) % 7]]
+
+    def test_wrong_point_length(self):
+        t = table_for(a21, a32)
+        with pytest.raises(VariableMismatch):
+            jacobian_at([mono(t, a21)], (1,), P)
+
+    def test_value_zero_mod_p_raises(self):
+        t = table_for(a21, a32)
+        with pytest.raises(ValueError):
+            jacobian_at([mono(t, a21, a32)], (2, 7), 7)
 
     def test_char_poly_outputs_are_d_free(self):
         mat = compartmental_matrix(cascade_exchange(), MODE_DIAG)
-        pt = EvalPoint(mat.table, tuple(range(1, len(mat.table.params) + 1)))
-        for coeff in char_poly_coeffs(mat.entries, mat.table):
-            coeff.evaluate(pt)  # must not raise
+        values = tuple(range(1, len(mat.table.params) + 1))
+        jacobian_at(char_poly_coeffs(mat.entries, mat.table), values, P)  # must not raise
+
+
+class TestJacobianAtOracle:
+    """``jacobian_at`` equals sympy's derivatives, valued and reduced mod p."""
+
+    @pytest.mark.parametrize("mode", [MODE_DIAG, MODE_EXPLICIT])
+    @pytest.mark.parametrize("path", FIXTURE_MODELS, ids=lambda path: path.stem)
+    def test_fixture_coefficient_maps(self, path, mode):
+        model = load_model(str(path))
+        if mode == MODE_DIAG:
+            model = model.with_leaks(frozenset(model.vertices))
+        cmap = coefficient_map(model, mode)
+        rng = random.Random(f"{path.stem}:{mode}")
+        for _ in range(2):
+            p = random_prime_62(rng)
+            values = random_point(cmap.table, rng)
+            expected = [sympy_gradient_mod_p(poly, values, p) for poly in cmap.polys]
+            assert jacobian_at(cmap.polys, values, p) == expected
+
+    def test_random_polynomials_with_powers(self, rng):
+        # Coefficient maps are multilinear (each parameter sits in one column
+        # of A), so exponents above 1 are covered here.
+        t = table_for(a21, a32, a23, a11)
+        for _ in range(50):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                exp = tuple(rng.randint(0, 3) for _ in t.params) + (0,)
+                terms[exp] = rng.randint(-9, 9)
+            poly = SparsePoly(t, terms)
+            values = tuple(rng.choice((-1, 1)) * rng.randint(1, 10**4) for _ in t.params)
+            p = random_prime_62(rng)
+            assert jacobian_at([poly], values, p) == [sympy_gradient_mod_p(poly, values, p)]
 
 
 class TestCharPoly:
@@ -258,5 +319,5 @@ class TestDerivativeIdentity:
             minor = determinant(sub, table)
             if (i + j) % 2:
                 minor = -minor
-            assert minor == -det_tilde.partial_by_index(table.index_of(added))
+            assert sympy_poly(minor)[0] == -sympy_partial(det_tilde, table.index_of(added))
             cases += 1
