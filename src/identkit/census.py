@@ -36,7 +36,7 @@ from multiprocessing import Pool
 from . import graphprops
 from .identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
 from .model import ModelError, compartmental_matrix, make_model
-from .sympoly import char_poly_coeffs, signed_minor_coeffs
+from .sympoly import char_poly_coeffs
 
 CHECKPOINT_EVERY = 10_000
 
@@ -142,19 +142,16 @@ def _evaluate_graph(
     entries = matrix.entries
     table = matrix.table
 
-    # jacobian rows by position: the n char-poly coefficients, then one block per minor
-    polys = char_poly_coeffs(entries, table)
-    blocks: dict[tuple[int, int], range] = {}
-    for _, _, positions, _ in active:
-        for pos in positions:
-            if pos not in blocks:
-                coeffs = signed_minor_coeffs(entries, table, *pos)
-                blocks[pos] = range(len(polys), len(polys) + len(coeffs))
-                polys += coeffs
-    subsets = [
-        ([*range(n), *(r for pos in positions for r in blocks[pos])], bound)
-        for _, _, positions, bound in active
-    ]
+    # jacobian rows by position: the n char-poly coefficients, then n - 1 per cofactor
+    positions = list(dict.fromkeys(pos for cfg in active for pos in cfg[2]))
+    polys = char_poly_coeffs(entries, table, positions)
+    subsets = []
+    for _, _, cfg_positions, bound in active:
+        rows = list(range(n))
+        for pos in cfg_positions:
+            start = n + (n - 1) * positions.index(pos)
+            rows += range(start, start + n - 1)
+        subsets.append((rows, bound))
 
     ranks = jacobian_ranks(polys, table, rng, trials, subsets)
     for (name, _, _, bound), rank in zip(active, ranks):
@@ -164,21 +161,31 @@ def _evaluate_graph(
     return out
 
 
+def _classified(n: int, m: int, seed: int, trials: int, start: int = 0, stop: int | None = None):
+    """(graph index, edges, classification bits) for the graphs ranked
+    [start, stop); each graph's RNG stream is keyed by (seed, n, m, index)."""
+    feas = row_feasibility(n, m)
+    for idx, edges in enumerate(enumerate_graphs(n, m, start, stop), start):
+        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
+        yield idx, edges, _evaluate_graph(n, edges, rng, feas, trials)
+
+
 def _eval_chunk(args) -> list[int]:
     n, m, start, stop, seed, trials = args
-    feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
-    for offset, edges in enumerate(enumerate_graphs(n, m, start, stop)):
-        idx = start + offset
-        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
-        bits = _evaluate_graph(n, edges, rng, feas, trials)
-        for pos, name in enumerate(CELLS):
-            if bits[name]:
-                counts[pos] += 1
+    for _, _, bits in _classified(n, m, seed, trials, start, stop):
+        counts = [c + bits[name] for c, name in zip(counts, CELLS)]
     return counts
 
 
 # -- row and table drivers ------------------------------------------------
+
+
+def _check_row(n: int, m: int) -> None:
+    if n < 1:
+        raise ModelError(f"n={n} must be at least 1")
+    if not 0 <= m <= n * (n - 1):
+        raise ModelError(f"m={m} outside 0..{n * (n - 1)} for n={n}")
 
 
 def census_row(
@@ -196,21 +203,19 @@ def census_row(
     With ``jobs > 1`` one process pool serves the whole row.  With a
     checkpoint path, partial counts are flushed every ``CHECKPOINT_EVERY``
     graphs and an interrupted run resumes from the last flush (the file must
-    match n, m, and seed).
+    match n, m, seed and trials).
     """
-    if n < 1:
-        raise ModelError(f"n={n} must be at least 1")
-    if not 0 <= m <= n * (n - 1):
-        raise ModelError(f"m={m} outside 0..{n * (n - 1)} for n={n}")
+    _check_row(n, m)
     total = total_graphs(n, m)
     feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
     next_index = 0
 
+    key = {"n": n, "m": m, "seed": seed, "trials": trials}
     if checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path, "r", encoding="utf-8") as fh:
             state = json.load(fh)
-        if state["n"] == n and state["m"] == m and state["seed"] == seed:
+        if all(state.get(k) == v for k, v in key.items()):
             counts = list(state["counts"])
             next_index = state["next_index"]
 
@@ -231,10 +236,7 @@ def census_row(
             if checkpoint_path:
                 tmp = checkpoint_path + ".tmp"
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        {"n": n, "m": m, "seed": seed, "next_index": next_index, "counts": counts},
-                        fh,
-                    )
+                    json.dump({**key, "next_index": next_index, "counts": counts}, fh)
                 os.replace(tmp, checkpoint_path)
             if progress:
                 progress(n, m, next_index, total)
@@ -254,6 +256,9 @@ def census_table(
     checkpoint_dir: str | None = None,
     progress=None,
 ) -> list[CensusRow]:
+    m_values = list(m_values)
+    for m in m_values:
+        _check_row(n, m)  # before any checkpoint directory is made
     rows = []
     for m in m_values:
         path = None
@@ -295,14 +300,7 @@ def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT
     discrepancy reports."""
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
-    feas = row_feasibility(n, m)
-    hits = []
-    for idx, edges in enumerate(enumerate_graphs(n, m)):
-        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
-        bits = _evaluate_graph(n, edges, rng, feas, trials)
-        if bits[cell]:
-            hits.append((idx, edges))
-    return hits
+    return [(idx, edges) for idx, edges, bits in _classified(n, m, seed, trials) if bits[cell]]
 
 
 def discrepancy_report(

@@ -4,7 +4,8 @@ For output j, the equation is  det(D*I - A_H) y_j = sum_i cof_ij(D) u_i,
 where A_H is the submatrix of the compartmental matrix on the vertices that
 reach j, and cof_ij is the signed (i,j) minor of D*I - A_H.  Row/column
 positions (and hence minor signs) are taken inside A_H after relabeling, not
-from the original vertex labels.
+from the original vertex labels.  One ``char_poly_coeffs`` call per output
+gives the left-hand side and every input's cofactor from one expansion.
 
 Note that A_H is the submatrix of the full matrix A: in explicit mode the
 diagonal keeps outflow terms for edges that leave the subgraph, since those
@@ -23,7 +24,7 @@ from .model import (
     compartmental_matrix,
     normalize_mode,
 )
-from .sympoly import SparsePoly, VarTable, char_poly_coeffs, signed_minor_coeffs
+from .sympoly import SparsePoly, VarTable, char_poly_coeffs
 
 
 class NoInputReachesOutput(ValueError):
@@ -91,13 +92,14 @@ def io_equation(model: CompartmentalModel, j: int, mode: str = MODE_EXPLICIT) ->
     entries = [[full.entry(u, v) for v in keep] for u in keep]
     d = len(keep)
     pos = {v: idx + 1 for idx, v in enumerate(keep)}
-    lhs = tuple(char_poly_coeffs(entries, table))
+    # the d char-poly coefficients, then d - 1 per input's cofactor (i, j)
+    coeffs = char_poly_coeffs(entries, table, [(pos[i], pos[j]) for i in live_inputs])
     rhs: list[tuple[int, tuple[SparsePoly, ...]]] = []
-    for i in live_inputs:
-        minors = signed_minor_coeffs(entries, table, pos[i], pos[j])
+    for k, i in enumerate(live_inputs):
+        start = d + k * (d - 1)
         head = SparsePoly.const(table, 1 if i == j else 0)
-        rhs.append((i, (head, *minors)))
-    return IOEquation(output=j, order=d, lhs=lhs, rhs=tuple(rhs), table=table)
+        rhs.append((i, (head, *coeffs[start : start + d - 1])))
+    return IOEquation(output=j, order=d, lhs=tuple(coeffs[:d]), rhs=tuple(rhs), table=table)
 
 
 def coefficient_map(model: CompartmentalModel, mode: str = MODE_EXPLICIT) -> CoefficientMap:

@@ -240,7 +240,7 @@ def from_dict(doc: dict) -> CompartmentalModel:
             outputs=(int(v) for v in doc["out"]),
             leaks=(int(v) for v in doc.get("leak", [])),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelError):
             raise
         raise BadModelFile(f"malformed model document: {exc}") from exc

@@ -8,6 +8,9 @@ characteristic polynomials).  Zero coefficients are never stored; the zero
 polynomial is the empty dict.
 
 All arithmetic is exact; no floating point appears anywhere in this module.
+:func:`char_poly_coeffs` reads the characteristic polynomial of a matrix and
+any of its signed cofactors from one memoized Laplace expansion of
+``D*I - M``; :func:`determinant` uses the same expansion.
 :func:`jacobian_at` evaluates the gradients of D-free polynomials at an
 integer point modulo a prime without building any derivative polynomial.
 Polynomials built over different variable tables cannot be mixed
@@ -234,95 +237,85 @@ def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> l
 # -- symbolic determinants ---------------------------------------------
 
 
-def determinant(rows: Sequence[Sequence[SparsePoly]], table: VarTable) -> SparsePoly:
-    """Determinant of a square matrix of polynomials.
+def _laplace(rows: Sequence[Sequence[SparsePoly]], table: VarTable):
+    """Minor function of a square polynomial matrix: ``minor(rowmask, colmask)``
+    is the determinant of the submatrix on those row and column bit sets.
 
-    Cofactor expansion memoized on the set of still-available columns: the
-    value for column set S only depends on S (the rows used are always the
-    first ``len(S)``), which turns the n! expansion into 2^n subset states.
-    Entry sparsity (many structural zeros) prunes most branches.
+    Each minor is expanded along its first row and memoized on (row set,
+    column set), so the determinant and every cofactor of one matrix share
+    their sub-minors; expanding the top rows first leaves row-suffix states
+    that all of them reach.  Structural zeros prune most branches.
     """
-    dim = len(rows)
-    if dim == 0:
-        return SparsePoly.const(table, 1)
-    for r in rows:
-        if len(r) != dim:
-            raise ValueError("determinant requires a square matrix")
-    full = (1 << dim) - 1
-    memo: dict[int, SparsePoly] = {}
+    memo = {(0, 0): SparsePoly.const(table, 1)}  # the empty minor
 
-    def minor(colmask: int) -> SparsePoly:
-        cached = memo.get(colmask)
+    def minor(rowmask: int, colmask: int) -> SparsePoly:
+        cached = memo.get((rowmask, colmask))
         if cached is not None:
             return cached
-        k = colmask.bit_count()
-        row = rows[dim - k]  # rows are consumed top-down
+        low_row = rowmask & -rowmask
+        row = rows[low_row.bit_length() - 1]
         acc = SparsePoly.zero(table)
         sign = 1
         rest = colmask
         while rest:
-            low = rest & (-rest)
-            col = low.bit_length() - 1
-            entry = row[col]
+            low = rest & -rest
+            entry = row[low.bit_length() - 1]
             if entry.terms:
-                sub = minor(colmask ^ low) if k > 1 else SparsePoly.const(table, 1)
-                contrib = entry * sub
+                contrib = entry * minor(rowmask ^ low_row, colmask ^ low)
                 acc = acc + (contrib if sign > 0 else -contrib)
             sign = -sign
             rest ^= low
-        memo[colmask] = acc
+        memo[rowmask, colmask] = acc
         return acc
 
-    return minor(full)
+    return minor
+
+
+def determinant(rows: Sequence[Sequence[SparsePoly]], table: VarTable) -> SparsePoly:
+    """Determinant of a square matrix of polynomials (memoized Laplace expansion)."""
+    dim = len(rows)
+    if any(len(r) != dim for r in rows):
+        raise ValueError("determinant requires a square matrix")
+    full = (1 << dim) - 1
+    return _laplace(rows, table)(full, full)
 
 
 def char_matrix(entries: Sequence[Sequence[SparsePoly]], table: VarTable) -> list[list[SparsePoly]]:
     """Rows of ``D*I - M`` for a square polynomial matrix ``M``."""
-    dim = len(entries)
     d = SparsePoly.d_var(table)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(d - entries[i][j] if i == j else -entries[i][j])
-        out.append(row)
-    return out
+    return [[d - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(entries)]
 
 
-def char_poly_coeffs(entries: Sequence[Sequence[SparsePoly]], table: VarTable) -> list[SparsePoly]:
-    """Coefficients of ``det(D*I - M)`` for ``D**(n-1) .. D**0``.
-
-    The leading ``D**n`` coefficient is 1 (monic) and is not returned.
-    """
-    dim = len(entries)
-    det = determinant(char_matrix(entries, table), table)
-    lead = det.d_coefficient(dim)
-    if not lead.is_one():
-        raise AssertionError("characteristic polynomial is not monic")
-    return [det.d_coefficient(p) for p in range(dim - 1, -1, -1)]
-
-
-def signed_minor_coeffs(
-    entries: Sequence[Sequence[SparsePoly]], table: VarTable, i: int, j: int
+def char_poly_coeffs(
+    entries: Sequence[Sequence[SparsePoly]],
+    table: VarTable,
+    positions: Sequence[tuple[int, int]] = (),
 ) -> list[SparsePoly]:
-    """Coefficients in D of ``(-1)**(i+j) * det((D*I - M) minus row i, col j)``.
+    """Coefficients of ``det(D*I - M)`` for ``D**(n-1) .. D**0``, then, per
+    requested 1-based position (i, j) in order, those of the signed cofactor
+    ``(-1)**(i+j) * det((D*I - M) minus row i, col j)`` for ``D**(n-2) .. D**0``.
 
-    ``i`` and ``j`` are 1-based positions.  Returned for ``D**(n-2) .. D**0``
-    (n = dim of M); the ``D**(n-1)`` coefficient is 1 when i == j and 0
-    otherwise, and is not returned.
+    One expansion of ``D*I - M`` serves all of them.  The omitted leading
+    coefficients are asserted: ``D**n`` has 1 (monic), and a cofactor's
+    ``D**(n-1)`` has 1 when i == j and 0 otherwise.
     """
     dim = len(entries)
-    if not (1 <= i <= dim and 1 <= j <= dim):
-        raise ValueError(f"minor position ({i},{j}) out of range for dim {dim}")
-    cm = char_matrix(entries, table)
-    sub = [[cm[r][c] for c in range(dim) if c != j - 1] for r in range(dim) if r != i - 1]
-    det = determinant(sub, table)
-    if (i + j) % 2:
-        det = -det
-    head = det.d_coefficient(dim - 1)
-    expect_one = i == j
-    if expect_one and not head.is_one():
-        raise AssertionError("principal minor is not monic")
-    if not expect_one and head.terms:
-        raise AssertionError("off-diagonal minor has unexpected leading D coefficient")
-    return [det.d_coefficient(p) for p in range(dim - 2, -1, -1)]
+    minor = _laplace(char_matrix(entries, table), table)
+    full = (1 << dim) - 1
+    det = minor(full, full)
+    if not det.d_coefficient(dim).is_one():
+        raise AssertionError("characteristic polynomial is not monic")
+    out = [det.d_coefficient(p) for p in range(dim - 1, -1, -1)]
+    for i, j in positions:
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ValueError(f"minor position ({i},{j}) out of range for dim {dim}")
+        cof = minor(full ^ (1 << (i - 1)), full ^ (1 << (j - 1)))
+        if (i + j) % 2:
+            cof = -cof
+        head = cof.d_coefficient(dim - 1)
+        if i == j and not head.is_one():
+            raise AssertionError("principal minor is not monic")
+        if i != j and head.terms:
+            raise AssertionError("off-diagonal minor has unexpected leading D coefficient")
+        out += [cof.d_coefficient(p) for p in range(dim - 2, -1, -1)]
+    return out

@@ -188,15 +188,21 @@ class ConstructionScript:
 
     @staticmethod
     def from_dict(doc: dict) -> "ConstructionScript":
-        unknown = set(doc) - {"steps", "final_leak"}
-        if unknown:
-            raise ModelError(f"unknown keys in construction script: {sorted(unknown)}")
-        steps = tuple((int(k), int(l), int(s)) for k, l, s in doc["steps"])
-        return ConstructionScript(steps=steps, final_leak=int(doc["final_leak"]))
+        if not isinstance(doc, dict) or set(doc) != {"steps", "final_leak"}:
+            raise ModelError("construction script must be a JSON object with keys steps and final_leak")
+        try:
+            steps = tuple((int(k), int(l), int(s)) for k, l, s in doc["steps"])
+            return ConstructionScript(steps=steps, final_leak=int(doc["final_leak"]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"malformed construction script: {exc}") from exc
 
     @staticmethod
     def from_json(text: str) -> "ConstructionScript":
-        return ConstructionScript.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"invalid JSON: {exc}") from exc
+        return ConstructionScript.from_dict(doc)
 
 
 def run_construction(

@@ -126,7 +126,8 @@ class TestCheckpointing(object):
         partial_counts = census_mod._eval_chunk((3, 3, 0, 7, 5, 3))
         with open(path, "w") as fh:
             json.dump(
-                {"n": 3, "m": 3, "seed": 5, "next_index": 7, "counts": partial_counts}, fh
+                {"n": 3, "m": 3, "seed": 5, "trials": 3, "next_index": 7, "counts": partial_counts},
+                fh,
             )
         resumed = census_row(3, 3, seed=5, checkpoint_path=path)
         assert resumed == full
@@ -150,6 +151,18 @@ class TestCheckpointing(object):
         assert len(pools) == 1  # three blocks of 7, 7 and 6 graphs
         assert row == census_row(3, 3, seed=5, jobs=1)
         assert json.load(open(path))["next_index"] == total_graphs(3, 3)
+
+    def test_checkpoint_of_other_trials_is_ignored(self, tmp_path):
+        path = str(tmp_path / "ckpt.json")
+        census_row(3, 3, seed=5, trials=1, checkpoint_path=path)
+        done = json.load(open(path))
+        assert done["trials"] == 1 and done["next_index"] == total_graphs(3, 3)
+        # doctored counts show whether the finished trials-1 file is reused
+        with open(path, "w") as fh:
+            json.dump({**done, "counts": [0] * 7}, fh)
+        row = census_row(3, 3, seed=5, trials=3, checkpoint_path=path)
+        assert row == census_row(3, 3, seed=5, trials=3)
+        assert json.load(open(path))["trials"] == 3
 
     def test_mismatched_checkpoint_is_ignored(self, tmp_path):
         path = str(tmp_path / "ckpt.json")

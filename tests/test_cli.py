@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import identkit
 from identkit.cli import main
@@ -224,6 +226,106 @@ class TestConstruct:
         assert "locally identifiable" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"steps": [[1, 1]], "final_leak": 1}',
+        '{"final_leak": 1}',
+        '{"steps": [[1, 1, 1]]',
+        '[{"steps": [[1, 1, 1]], "final_leak": 1}]',
+    ],
+    ids=["two-int-step", "no-steps", "invalid-json", "top-level-list"],
+)
+def test_malformed_construction_script_gives_error_document(capsys, tmp_path, text):
+    script = tmp_path / "script.json"
+    script.write_text(text)
+    code, out = run(capsys, "construct", "--script", str(script), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == "ModelError"
+
+
+# Fuzz inputs stay small, so that a document that is accepted is cheap to analyse.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "edges", "in", "out", "leak", "steps", "final_leak"])
+        | st.text(max_size=3),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=12,
+)
+_SCRIPTS = st.fixed_dictionaries(
+    {
+        "steps": st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3)), max_size=2
+        ),
+        "final_leak": st.integers(0, 5),
+    }
+)
+
+
+@st.composite
+def _models(draw):
+    """Model documents of the right shape; some break a model rule."""
+    n = draw(st.integers(1, 4))
+    vertices = st.lists(st.integers(1, n), min_size=1, max_size=2)
+    slots = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    doc = {
+        "n": n,
+        "edges": draw(st.lists(st.sampled_from(slots), max_size=5)) if slots else [],
+        "in": draw(vertices),
+        "out": draw(vertices),
+    }
+    if draw(st.booleans()):
+        doc["leak"] = draw(st.lists(st.integers(0, n), max_size=n))
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, flag, shaped",
+    [("construct", "--script", _SCRIPTS), ("analyze", "--model", _models())],
+    ids=["construct", "analyze"],
+)
+def test_any_json_input_gives_exit_code_0_or_1(capsys, tmp_path, command, flag, shaped):
+    """Arbitrary text, arbitrary JSON and well-shaped documents with wrong
+    values all end in a result or an error document, never a traceback."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.text(max_size=20) | _JSON.map(json.dumps) | shaped.map(json.dumps))
+    def check(text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out = run(capsys, command, flag, str(path), "--format", "json")
+        assert code in (0, 1)
+        assert ("error" in json.loads(out)) == (code == 1)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("construct", "--script", '{"steps": [[1, 1, Infinity]], "final_leak": 1}'),
+        ("analyze", "--model", '{"n": Infinity, "edges": [], "in": [1], "out": [1]}'),
+    ],
+    ids=["construct", "analyze"],
+)
+def test_non_finite_number_gives_error_document(capsys, tmp_path, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out = run(capsys, command, flag, str(path), "--format", "json")
+    assert code == 1
+    assert "integer" in json.loads(out)["message"]
+
+
 class TestCensusCommand:
     def test_small_census_csv(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.csv")
@@ -258,6 +360,17 @@ class TestCensusCommand:
         assert code == 1
         assert json.loads(out)["error"] == "ModelError"
         assert not os.path.exists(out_path)
+
+    def test_impossible_row_makes_no_checkpoint_dir(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        code, out = run(
+            capsys,
+            "census", "--n", "0", "--m", "0", "--checkpoint-dir", str(ck),
+            "--out", str(tmp_path / "rows.csv"), "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ModelError"
+        assert not ck.exists()
 
     def test_single_m_value(self, capsys, tmp_path):
         out_path = str(tmp_path / "one.csv")

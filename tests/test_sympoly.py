@@ -26,7 +26,6 @@ from identkit.sympoly import (
     char_poly_coeffs,
     determinant,
     jacobian_at,
-    signed_minor_coeffs,
 )
 
 from conftest import cascade_exchange, random_model
@@ -192,10 +191,12 @@ class TestCharPoly:
 
 
 class TestSignedMinor:
+    """Cofactor coefficients follow the n char-poly coefficients."""
+
     def test_worked_example_input_to_output(self):
         mat = compartmental_matrix(cascade_exchange(), MODE_DIAG)
         t = mat.table
-        coeffs = signed_minor_coeffs(mat.entries, t, 1, 2)
+        coeffs = char_poly_coeffs(mat.entries, t, [(1, 2)])[4:]
         assert coeffs == [
             mono(t, a21),
             -mono(t, a21, a33) - mono(t, a21, a44),
@@ -205,13 +206,13 @@ class TestSignedMinor:
     def test_two_chain(self):
         m = make_model(2, [(1, 2)], {1}, {2}, {1, 2})
         mat = compartmental_matrix(m, MODE_DIAG)
-        coeffs = signed_minor_coeffs(mat.entries, mat.table, 1, 2)
+        coeffs = char_poly_coeffs(mat.entries, mat.table, [(1, 2)])[2:]
         assert coeffs == [mono(mat.table, Param("edge", 2, 1))]
 
     def test_principal_minor_is_char_poly_of_submatrix(self):
         m = make_model(3, [], {1}, {1}, {1, 2, 3})
         mat = compartmental_matrix(m, MODE_DIAG)
-        got = signed_minor_coeffs(mat.entries, mat.table, 1, 1)
+        got = char_poly_coeffs(mat.entries, mat.table, [(1, 1)])[3:]
         sub = [[mat.entries[r][c] for c in (1, 2)] for r in (1, 2)]
         assert got == char_poly_coeffs(sub, mat.table)
 
@@ -226,11 +227,16 @@ class TestDeterminantOracle:
             mode = MODE_DIAG if model.leaks == frozenset(model.vertices) else MODE_EXPLICIT
             mat = compartmental_matrix(model, mode)
             cm = char_matrix(mat.entries, mat.table)
-            assert determinant(cm, mat.table) == leibniz_det(cm, mat.table)
+            full = leibniz_det(cm, mat.table)
+            assert determinant(cm, mat.table) == full
             n = model.n
-            if n >= 2:
-                i = rng.randint(1, n)
-                j = rng.randint(1, n)
+            # every cofactor from one shared expansion, in a random order
+            positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            rng.shuffle(positions)
+            coeffs = char_poly_coeffs(mat.entries, mat.table, positions)
+            assert coeffs[:n] == [full.d_coefficient(p) for p in range(n - 1, -1, -1)]
+            assert len(coeffs) == n + len(positions) * (n - 1)
+            for block, (i, j) in enumerate(positions):
                 sub = [
                     [cm[r][c] for c in range(n) if c != j - 1]
                     for r in range(n)
@@ -239,9 +245,10 @@ class TestDeterminantOracle:
                 direct = leibniz_det(sub, mat.table)
                 if (i + j) % 2:
                     direct = -direct
-                listed = signed_minor_coeffs(mat.entries, mat.table, i, j)
+                start = n + block * (n - 1)
+                listed = coeffs[start : start + n - 1]
                 for power, coeff in enumerate(reversed(listed)):
-                    assert coeff == direct.d_coefficient(power)
+                    assert coeff == direct.d_coefficient(power), (model, i, j)
             cases += 1
 
 
