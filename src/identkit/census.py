@@ -17,9 +17,20 @@ m >= n-1, and an expected-dimension cell is NA when |E| + |In u Out|
 exceeds the largest possible coefficient count over all admissible
 input-output distances.
 
+Every cell is a property of the graph and of which vertices play the roles
+1, 2 and 3, so the census classifies one graph per isomorphism class: the
+labeled graph whose edge mask (bit k for slot k of ``edge_slots(n)``) is the
+least in its S_n orbit.  Every other labeled graph is skipped once a
+relabeling gives a smaller mask.  For a representative G with automorphism
+group Aut(G), the ``strongly_connected`` cell adds n!/|Aut(G)| labeled
+graphs, and a cell with k roles adds (n-k)!/|Stab(t)| for each Aut-orbit of
+ordered role tuples t that is a member: that many labeled graphs are G with
+t relabeled to 1..k.  One expansion of G's characteristic matrix gives the
+cofactors of all its role tuples, and one call of the rank engine ranks them.
+
 Counting is deterministic for a fixed seed regardless of worker count: each
-graph owns an RNG stream derived from (seed, graph index), and aggregation
-is plain addition.
+class owns an RNG stream derived from (seed, n, m, index of its
+representative), and aggregation is plain addition.
 """
 
 from __future__ import annotations
@@ -28,9 +39,11 @@ import csv
 import json
 import math
 import os
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations, islice, permutations
 from multiprocessing import Pool
 
 from . import graphprops
@@ -39,6 +52,8 @@ from .model import ModelError, compartmental_matrix, make_model
 from .sympoly import char_poly_coeffs
 
 CHECKPOINT_EVERY = 10_000
+CHECKPOINT_FORMAT = "orbit"  # counts of a block are summed over its class representatives
+MAX_N = 7  # every census graph is relabeled by up to all n! permutations
 
 CELLS = (
     "strongly_connected",
@@ -82,13 +97,13 @@ def total_graphs(n: int, m: int) -> int:
     return math.comb(n * (n - 1), m)
 
 
-def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None):
+def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None, step: int = 1):
     """Edge sets of all labeled digraphs (n, m) in lexicographic slot order;
-    optionally only ranks [start, stop)."""
+    optionally only the ranks in range(start, stop, step)."""
     if not 0 <= m <= n * (n - 1):
         raise ValueError(f"m={m} outside 0..{n*(n-1)}")
     gen = combinations(edge_slots(n), m)
-    return islice(gen, start, stop)
+    return islice(gen, start, stop, step)
 
 
 def row_feasibility(n: int, m: int) -> dict[str, bool]:
@@ -106,86 +121,183 @@ def row_feasibility(n: int, m: int) -> dict[str, bool]:
     }
 
 
-# -- per-graph evaluation -----------------------------------------------
+# -- isomorphism classes ---------------------------------------------------
 
 
-def _evaluate_graph(
-    n: int, edges: tuple[tuple[int, int], ...], rng, feas: dict[str, bool], trials: int
-) -> dict[str, bool]:
-    """Classification bits for one graph; keys follow CELLS."""
+@lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every permutation p of 1..n (as a tuple with p[0] = 0) with, per edge
+    slot k, the edge-mask bit of the slot that p moves slot k to."""
+    slots = edge_slots(n)
+    slot_of = {e: k for k, e in enumerate(slots)}
+    out = []
+    for images in permutations(range(1, n + 1)):
+        p = (0,) + images
+        out.append((p, tuple(1 << slot_of[p[i], p[j]] for i, j in slots)))
+    return tuple(out)
+
+
+def automorphisms(n: int, slot_ids: Sequence[int]) -> list[tuple[int, ...]] | None:
+    """Aut(G) of the graph G with edges in the slots ``slot_ids`` when G's
+    edge mask (bit k for slot k of ``edge_slots(n)``) is the least of its
+    S_n orbit; None otherwise, usually after a few permutations."""
+    mask = sum(1 << k for k in slot_ids)
+    aut = []
+    for p, bits in _relabelings(n):
+        image = sum([bits[k] for k in slot_ids])
+        if image < mask:
+            return None
+        if image == mask:
+            aut.append(p)
+    return aut
+
+
+def _tuple_orbits(n: int, k: int, aut) -> dict[tuple[int, ...], int]:
+    """Aut-orbits of ordered k-tuples of distinct vertices: least tuple -> orbit size."""
+    seen: set[tuple[int, ...]] = set()
+    orbits = {}
+    for t in permutations(range(1, n + 1), k):  # lexicographic, so t is the least of its orbit
+        if t not in seen:
+            orbit = {tuple(p[v] for v in t) for p in aut}
+            seen |= orbit
+            orbits[t] = len(orbit)
+    return orbits
+
+
+def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int) -> dict[str, dict]:
+    """The member role-tuple orbits of one graph, per cell: {least tuple: orbit size}.
+
+    A cell's roles are its labels 1..k in order (input 1, outputs 2 and 3;
+    or input 1, output 2, input 3), so role tuple (a, b, c) puts vertex a in
+    the place of label 1, b in that of 2 and c in that of 3.  The
+    ``strongly_connected`` cell has the empty tuple.
+    """
     m = len(edges)
-    out: dict[str, bool] = {name: False for name in CELLS}
-
+    singles, pairs, triples = (_tuple_orbits(n, k, aut) for k in (1, 2, 3))
+    held: dict[str, dict] = {name: {} for name in CELLS}
     sc = graphprops.strongly_connected_raw(n, edges)
-    out["strongly_connected"] = sc
-    sioc12 = sioc132 = False
+    if sc:
+        held["strongly_connected"][()] = 1
     if feas["sioc_in1_out2"]:
-        sioc12 = graphprops.sioc_via_augmentation(n, edges, (1,), (2,))
-        out["sioc_in1_out2"] = sioc12
+        held["sioc_in1_out2"] = {
+            (a, b): size
+            for (a, b), size in pairs.items()
+            if graphprops.sioc_via_augmentation(n, edges, (a,), (b,))
+        }
     if feas["sioc_in13_out2"]:
-        sioc132 = graphprops.sioc_via_augmentation(n, edges, (1, 3), (2,))
-        out["sioc_in13_out2"] = sioc132
+        held["sioc_in13_out2"] = {
+            (a, b, c): size
+            for (a, b, c), size in triples.items()
+            if graphprops.sioc_via_augmentation(n, edges, (a, c), (b,))
+        }
 
-    # (config key, active?, minor positions, rank bound)
-    configs = [
-        ("expdim_in1_out1", feas["expdim_in1_out1"] and sc, ((1, 1),), m + 1),
-        ("expdim_in1_out23", feas["expdim_in1_out23"] and sc, ((1, 2), (1, 3)), m + 3),
-        ("expdim_in1_out2", feas["expdim_in1_out2"] and sioc12, ((1, 2),), m + 2),
-        ("expdim_in13_out2", feas["expdim_in13_out2"] and sioc132, ((1, 2), (3, 2)), m + 3),
-    ]
-    active = [cfg for cfg in configs if cfg[1]]
-    if not active:
-        return out
+    # (cell, role tuple, orbit size, cofactor positions, rank bound) per rank test
+    tests = []
+    if feas["expdim_in1_out1"] and sc:
+        tests += [("expdim_in1_out1", (a,), size, ((a, a),), m + 1) for (a,), size in singles.items()]
+    if feas["expdim_in1_out23"] and sc:
+        tests += [
+            ("expdim_in1_out23", (a, b, c), size, ((a, b), (a, c)), m + 3)
+            for (a, b, c), size in triples.items()
+        ]
+    if feas["expdim_in1_out2"]:
+        tests += [
+            ("expdim_in1_out2", t, size, (t,), m + 2) for t, size in held["sioc_in1_out2"].items()
+        ]
+    if feas["expdim_in13_out2"]:
+        tests += [
+            ("expdim_in13_out2", (a, b, c), size, ((a, b), (c, b)), m + 3)
+            for (a, b, c), size in held["sioc_in13_out2"].items()
+        ]
+    if not tests:
+        return held
 
     model = make_model(n, edges, {1}, {1}, range(1, n + 1))
     matrix = compartmental_matrix(model, "diag")
-    entries = matrix.entries
-    table = matrix.table
-
     # jacobian rows by position: the n char-poly coefficients, then n - 1 per cofactor
-    positions = list(dict.fromkeys(pos for cfg in active for pos in cfg[2]))
-    polys = char_poly_coeffs(entries, table, positions)
-    subsets = []
-    for _, _, cfg_positions, bound in active:
-        rows = list(range(n))
-        for pos in cfg_positions:
-            start = n + (n - 1) * positions.index(pos)
-            rows += range(start, start + n - 1)
-        subsets.append((rows, bound))
-
-    ranks = jacobian_ranks(polys, table, rng, trials, subsets)
-    for (name, _, _, bound), rank in zip(active, ranks):
+    positions = list(dict.fromkeys(pos for test in tests for pos in test[3]))
+    block = {pos: n + (n - 1) * k for k, pos in enumerate(positions)}
+    polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
+    # one row subset per (cofactor set, bound): the role tuples (a, b, c) and
+    # (a, c, b) of expdim_in1_out23, for one, rank the same rows
+    subsets: dict[tuple[frozenset, int], list[int]] = {}
+    for _, _, _, cofactors, bound in tests:
+        rows = list(range(n)) + [r for pos in cofactors for r in range(block[pos], block[pos] + n - 1)]
+        subsets.setdefault((frozenset(cofactors), bound), rows)
+    targets = [(rows, bound) for (_, bound), rows in subsets.items()]
+    rank_of = dict(zip(subsets, jacobian_ranks(polys, matrix.table, rng, trials, targets)))
+    for name, t, size, cofactors, bound in tests:
+        rank = rank_of[frozenset(cofactors), bound]
         if rank > bound:
-            raise AssertionError(f"rank {rank} exceeds bound {bound} for {name} on edges {edges}")
-        out[name] = rank == bound
-    return out
+            raise AssertionError(f"rank {rank} exceeds bound {bound} for {name} at {t} on edges {edges}")
+        if rank == bound:
+            held[name][t] = size
+    return held
 
 
-def _classified(n: int, m: int, seed: int, trials: int, start: int = 0, stop: int | None = None):
-    """(graph index, edges, classification bits) for the graphs ranked
-    [start, stop); each graph's RNG stream is keyed by (seed, n, m, index)."""
+def _classes(n: int, m: int, seed: int, trials: int, indices: range):
+    """(graph index, edges, Aut, member orbits per cell) for each graph with
+    its index in ``indices`` that is the least of its isomorphism class; each
+    class's RNG stream is keyed by (seed, n, m, index) of that graph."""
     feas = row_feasibility(n, m)
-    for idx, edges in enumerate(enumerate_graphs(n, m, start, stop), start):
+    slot_of = {e: k for k, e in enumerate(edge_slots(n))}
+    graphs = enumerate_graphs(n, m, indices.start, indices.stop, indices.step)
+    for idx, edges in zip(indices, graphs):
+        aut = automorphisms(n, [slot_of[e] for e in edges])
+        if aut is None:
+            continue
         rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
-        yield idx, edges, _evaluate_graph(n, edges, rng, feas, trials)
+        yield idx, edges, aut, _evaluate_class(n, edges, aut, rng, feas, trials)
 
 
 def _eval_chunk(args) -> list[int]:
-    n, m, start, stop, seed, trials = args
+    """Cell counts of the labeled graphs isomorphic to the class
+    representatives among the indices of ``args``: a class adds, per member
+    orbit of role k-tuples with stabiliser size s, (n - k)!/s labeled graphs,
+    where s = |Aut| / orbit size."""
+    n, m, indices, seed, trials = args
     counts = [0] * len(CELLS)
-    for _, _, bits in _classified(n, m, seed, trials, start, stop):
-        counts = [c + bits[name] for c, name in zip(counts, CELLS)]
+    for _, _, aut, held in _classes(n, m, seed, trials, indices):
+        for pos, name in enumerate(CELLS):
+            for t, size in held[name].items():
+                counts[pos] += math.factorial(n - len(t)) * size // len(aut)
     return counts
 
 
 # -- row and table drivers ------------------------------------------------
 
 
-def _check_row(n: int, m: int) -> None:
-    if n < 1:
-        raise ModelError(f"n={n} must be at least 1")
+def _check_row(n: int, m: int, trials: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ModelError(f"n={n} outside 1..{MAX_N}")
     if not 0 <= m <= n * (n - 1):
         raise ModelError(f"m={m} outside 0..{n * (n - 1)} for n={n}")
+    if trials < 1:
+        raise ModelError(f"trials must be at least 1, got {trials}")
+
+
+def _read_checkpoint(path: str, key: dict, total: int) -> tuple[list[int], int] | None:
+    """(counts, next index) saved at ``path`` for the run ``key``; None when
+    the file belongs to another run.  ModelError when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+    except ValueError as exc:
+        raise ModelError(f"checkpoint {path} is not JSON: {exc}") from None
+    if not isinstance(state, dict):
+        raise ModelError(f"checkpoint {path} is not a JSON object")
+    if any(state.get(k) != v for k, v in key.items()):
+        return None
+    counts, next_index = state.get("counts"), state.get("next_index")
+    if not (
+        isinstance(counts, list)
+        and len(counts) == len(CELLS)
+        and all(type(c) is int and c >= 0 for c in counts)
+        and type(next_index) is int
+        and 0 <= next_index <= total
+    ):
+        raise ModelError(f"checkpoint {path} has no valid counts and next_index")
+    return counts, next_index
 
 
 def census_row(
@@ -197,38 +309,34 @@ def census_row(
     checkpoint_path: str | None = None,
     progress=None,
 ) -> CensusRow:
-    """Count all graphs at (n, m); ModelError when n < 1 or m is outside
-    0..n(n-1).
+    """Count all graphs at (n, m); ModelError when n is outside 1..MAX_N, m
+    outside 0..n(n-1), trials below 1, or the checkpoint is unreadable.
 
     With ``jobs > 1`` one process pool serves the whole row.  With a
     checkpoint path, partial counts are flushed every ``CHECKPOINT_EVERY``
-    graphs and an interrupted run resumes from the last flush (the file must
-    match n, m, seed and trials).
+    graph indices and an interrupted run resumes from the last flush (the
+    file must match the format, n, m, seed and trials).
     """
-    _check_row(n, m)
+    _check_row(n, m, trials)
     total = total_graphs(n, m)
     feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
     next_index = 0
 
-    key = {"n": n, "m": m, "seed": seed, "trials": trials}
+    key = {"format": CHECKPOINT_FORMAT, "n": n, "m": m, "seed": seed, "trials": trials}
     if checkpoint_path and os.path.exists(checkpoint_path):
-        with open(checkpoint_path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        if all(state.get(k) == v for k, v in key.items()):
-            counts = list(state["counts"])
-            next_index = state["next_index"]
+        counts, next_index = _read_checkpoint(checkpoint_path, key, total) or (counts, next_index)
 
-    # each checkpoint block is split into one contiguous chunk per worker
+    # worker k of a block takes its indices = k (mod jobs): class representatives
+    # cluster at low indices, so contiguous chunks would load one worker
     chunks = max(jobs, 1)
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
         while next_index < total:
             stop = min(next_index + CHECKPOINT_EVERY, total)
-            step = -(-(stop - next_index) // chunks)
             tasks = [
-                (n, m, s, min(s + step, stop), seed, trials)
-                for s in range(next_index, stop, step)
+                (n, m, range(s, stop, chunks), seed, trials)
+                for s in range(next_index, min(next_index + chunks, stop))
             ]
             for part in mapper(_eval_chunk, tasks):
                 counts = [a + b for a, b in zip(counts, part)]
@@ -258,7 +366,7 @@ def census_table(
 ) -> list[CensusRow]:
     m_values = list(m_values)
     for m in m_values:
-        _check_row(n, m)  # before any checkpoint directory is made
+        _check_row(n, m, trials)  # before any checkpoint directory is made
     rows = []
     for m in m_values:
         path = None
@@ -295,12 +403,43 @@ def write_sidecar(
         json.dump(doc, fh, indent=2)
 
 
+def _graph_index(slot_ids, slot_count: int) -> int:
+    """Rank of the increasing tuple ``slot_ids`` among
+    ``combinations(range(slot_count), len(slot_ids))``."""
+    m = len(slot_ids)
+    rank, low = 0, 0
+    for pos, k in enumerate(slot_ids):
+        rank += sum(math.comb(slot_count - 1 - v, m - 1 - pos) for v in range(low, k))
+        low = k + 1
+    return rank
+
+
 def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT_TRIALS):
-    """Graph indices (and edge sets) counted in one cell; debugging aid for
-    discrepancy reports."""
+    """Labeled graph indices (and edge sets) counted in one cell, in index
+    order; debugging aid for discrepancy reports.
+
+    Relabeling a class representative G by p gives the labeled graph p(G),
+    whose role tuple (1..k) is p^-1(1..k) in G; p(G) is a member when that
+    tuple lies in a member orbit of G.
+    """
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
-    return [(idx, edges) for idx, edges, bits in _classified(n, m, seed, trials) if bits[cell]]
+    _check_row(n, m, trials)
+    slots = edge_slots(n)
+    slot_of = {e: k for k, e in enumerate(slots)}
+    members = {}
+    for _, edges, aut, held in _classes(n, m, seed, trials, range(total_graphs(n, m))):
+        if not held[cell]:
+            continue
+        k = len(next(iter(held[cell])))
+        tuples = {tuple(p[v] for v in t) for t in held[cell] for p in aut}
+        for p, _ in _relabelings(n):
+            inverse = sorted(range(n + 1), key=p.__getitem__)
+            if tuple(inverse[1 : k + 1]) in tuples:
+                image = tuple(sorted((p[i], p[j]) for i, j in edges))
+                idx = _graph_index([slot_of[e] for e in image], len(slots))
+                members[idx] = image
+    return sorted(members.items())
 
 
 def discrepancy_report(

@@ -22,6 +22,11 @@ from typing import Iterable
 
 from .sympoly import SparsePoly, VarTable
 
+# Models have at most this many compartments.  Identifiability analysis
+# expands determinants over vertex subsets, so it is exponential in n long
+# before this cap; the cap keeps a malformed file from allocating an n x n matrix.
+MAX_VERTICES = 64
+
 MODE_EXPLICIT = "explicit"
 MODE_DIAG = "diag"
 _MODE_ALIASES = {
@@ -172,6 +177,8 @@ def validate(raw: CompartmentalModel) -> CompartmentalModel:
     """Check all model invariants and return the canonicalized model."""
     if raw.n < 1:
         raise VertexOutOfRange(f"n must be >= 1, got {raw.n}")
+    if raw.n > MAX_VERTICES:
+        raise VertexOutOfRange(f"n must be <= {MAX_VERTICES}, got {raw.n}")
     for src, dst in raw.edges:
         if src == dst:
             raise SelfLoop(f"self-loop at vertex {src}")

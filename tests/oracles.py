@@ -17,8 +17,11 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from identkit.model import CompartmentalModel, Param
-from identkit.sympoly import SparsePoly, VarTable
+from identkit import graphprops
+from identkit.census import CELLS, enumerate_graphs, row_feasibility
+from identkit.identcore import derived_rng, jacobian_ranks
+from identkit.model import CompartmentalModel, Param, compartmental_matrix, make_model
+from identkit.sympoly import SparsePoly, VarTable, char_poly_coeffs
 
 
 def leibniz_det(rows, table: VarTable) -> SparsePoly:
@@ -294,6 +297,66 @@ def expdim_in1_out1_members(n: int, m: int, value_bound: int = 10**6):
         if rank == bound:
             members.append((idx, edges))
     return tuple(members)
+
+
+# -- labeled census ----------------------------------------------------------
+
+
+def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dict[str, bool]:
+    """Classification bits of one labeled graph, its roles fixed at the labels
+    1, 2 and 3; keys follow CELLS."""
+    m = len(edges)
+    out = {name: False for name in CELLS}
+    sc = graphprops.strongly_connected_raw(n, edges)
+    out["strongly_connected"] = sc
+    if feas["sioc_in1_out2"]:
+        out["sioc_in1_out2"] = graphprops.sioc_via_augmentation(n, edges, (1,), (2,))
+    if feas["sioc_in13_out2"]:
+        out["sioc_in13_out2"] = graphprops.sioc_via_augmentation(n, edges, (1, 3), (2,))
+    # (cell, active?, cofactor positions, rank bound)
+    configs = [
+        ("expdim_in1_out1", feas["expdim_in1_out1"] and sc, ((1, 1),), m + 1),
+        ("expdim_in1_out23", feas["expdim_in1_out23"] and sc, ((1, 2), (1, 3)), m + 3),
+        ("expdim_in1_out2", feas["expdim_in1_out2"] and out["sioc_in1_out2"], ((1, 2),), m + 2),
+        ("expdim_in13_out2", feas["expdim_in13_out2"] and out["sioc_in13_out2"], ((1, 2), (3, 2)), m + 3),
+    ]
+    active = [cfg for cfg in configs if cfg[1]]
+    if not active:
+        return out
+    matrix = compartmental_matrix(make_model(n, edges, {1}, {1}, range(1, n + 1)), "diag")
+    positions = list(dict.fromkeys(pos for cfg in active for pos in cfg[2]))
+    polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
+    subsets = []
+    for _, _, cfg_positions, bound in active:
+        rows = list(range(n))
+        for pos in cfg_positions:
+            start = n + (n - 1) * positions.index(pos)
+            rows += range(start, start + n - 1)
+        subsets.append((rows, bound))
+    ranks = jacobian_ranks(polys, matrix.table, rng, trials, subsets)
+    for (name, _, _, bound), rank in zip(active, ranks):
+        assert rank <= bound, (name, rank, bound, edges)
+        out[name] = rank == bound
+    return out
+
+
+@lru_cache(maxsize=None)
+def labeled_census(n: int, m: int, seed: int = 0, trials: int = 3) -> dict[str, tuple[int, ...] | None]:
+    """The member graph indices of each census cell at (n, m) (None for NA),
+    found graph by graph over every labeled digraph.
+
+    This is the reference for the census's isomorphism-class reduction: no
+    relabeling, automorphism or orbit weight is involved.  Each graph draws
+    its points from its own stream, keyed by (seed, n, m, graph index).
+    """
+    feas = row_feasibility(n, m)
+    members: dict[str, list[int]] = {name: [] for name in CELLS}
+    for idx, edges in enumerate(enumerate_graphs(n, m)):
+        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
+        for name, bit in _labeled_bits(n, edges, rng, feas, trials).items():
+            if bit:
+                members[name].append(idx)
+    return {name: tuple(members[name]) if feas[name] else None for name in CELLS}
 
 
 # -- derivatives by sympy ----------------------------------------------------

@@ -15,7 +15,9 @@ cell is checked against the exact oracle from ``oracles.py`` instead: the
 oracle must prove more members than the table publishes, and the census count
 must equal the oracle's count.  Further tests match the census members of the
 (4,5) erratum cell with the oracle's graph by graph, and check the oracle
-against the published cells of its column that it does not dispute.
+against the published cells of its column that it does not dispute.  Every
+small-tier row of the census, which classifies one graph per isomorphism
+class, also equals a graph-by-graph count over all labeled digraphs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from identkit.census import census_row, cell_members, discrepancy_report
+from identkit.census import CELLS, census_row, cell_members, discrepancy_report
 from identkit.identcore import classify_identifiability, jacobian_rank
 from identkit.ioeq import coefficient_map
 from identkit.model import MODE_DIAG
@@ -46,7 +48,7 @@ from conftest import (
     star_prime,
     star_two_exchanges,
 )
-from oracles import expdim_in1_out1_members
+from oracles import expdim_in1_out1_members, labeled_census
 
 SLOW_ENABLED = os.environ.get("IDENTKIT_RUN_SLOW_CENSUS") == "1"
 
@@ -155,6 +157,16 @@ def _check_row(n, m, reference, seed=42, jobs=1):
 def test_criterion_1_census_small_tier(n, m):
     with criterion(f"1 census ({n},{m})"):
         _check_row(n, m, REFERENCE_ROWS[(n, m)])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n,m", sorted(REFERENCE_ROWS))
+def test_orbit_census_matches_labeled_census(n, m, jobs):
+    """The census classifies one graph per isomorphism class; graph by graph
+    over every labeled digraph, the same counts come out."""
+    exact = labeled_census(n, m, seed=42)
+    row = census_row(n, m, seed=42, jobs=jobs)
+    assert row.cells() == {name: None if exact[name] is None else len(exact[name]) for name in CELLS}
 
 
 def test_criterion_1_erratum_4_5_members_match_oracle():

@@ -8,12 +8,15 @@ full published-table comparison lives in the acceptance suite.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing.pool
+from itertools import combinations
 
 import pytest
 
 from identkit.census import (
     CELLS,
+    automorphisms,
     census_row,
     cell_members,
     enumerate_graphs,
@@ -26,6 +29,8 @@ from identkit.graphprops import sioc_via_augmentation
 from identkit.identcore import jacobian_rank
 from identkit.ioeq import coefficient_map
 from identkit.model import make_model
+
+from oracles import labeled_census
 
 
 class TestEnumeration:
@@ -50,6 +55,39 @@ class TestEnumeration:
     def test_slicing(self):
         full = list(enumerate_graphs(4, 3))
         assert list(enumerate_graphs(4, 3, start=10, stop=20)) == full[10:20]
+
+
+def _representatives(n, m):
+    """Automorphism groups of the orbit-least graphs of the row (n, m)."""
+    graphs = combinations(range(n * (n - 1)), m)
+    return [aut for ids in graphs if (aut := automorphisms(n, ids)) is not None]
+
+
+class TestIsomorphismClasses:
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in range(1, 5) for m in range(n * (n - 1) + 1)] + [(5, 5), (5, 6)]
+    )
+    def test_orbit_weights_cover_every_labeled_graph(self, n, m):
+        auts = _representatives(n, m)
+        assert all(aut[0] == tuple(range(n + 1)) for aut in auts)  # the identity
+        assert sum(math.factorial(n) // len(aut) for aut in auts) == total_graphs(n, m)
+
+    def test_class_counts(self):
+        """Unlabeled digraphs: 1, 3, 16, 218 on 1..4 vertices (OEIS A000273),
+        and 154 and 379 on 5 vertices with 5 and 6 edges."""
+        for n, classes in [(1, 1), (2, 3), (3, 16), (4, 218)]:
+            assert sum(len(_representatives(n, m)) for m in range(n * (n - 1) + 1)) == classes
+        assert len(_representatives(5, 5)) == 154
+        assert len(_representatives(5, 6)) == 379
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (3, 4), (4, 4), (4, 5)])
+    def test_cell_members_match_labeled_oracle(self, n, m):
+        exact = labeled_census(n, m, seed=42)
+        graphs = list(enumerate_graphs(n, m))
+        for cell in CELLS:
+            hits = cell_members(n, m, cell, seed=42)
+            assert tuple(idx for idx, _ in hits) == (exact[cell] or ()), cell
+            assert all(edges == graphs[idx] for idx, edges in hits)
 
 
 class TestFeasibility:
@@ -123,10 +161,13 @@ class TestCheckpointing(object):
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
         full = census_row(3, 3, seed=5)
         # simulate an interrupted run: process only the first block
-        partial_counts = census_mod._eval_chunk((3, 3, 0, 7, 5, 3))
+        partial_counts = census_mod._eval_chunk((3, 3, range(0, 7), 5, 3))
         with open(path, "w") as fh:
             json.dump(
-                {"n": 3, "m": 3, "seed": 5, "trials": 3, "next_index": 7, "counts": partial_counts},
+                {
+                    "format": "orbit", "n": 3, "m": 3, "seed": 5, "trials": 3,
+                    "next_index": 7, "counts": partial_counts,
+                },
                 fh,
             )
         resumed = census_row(3, 3, seed=5, checkpoint_path=path)
@@ -163,6 +204,19 @@ class TestCheckpointing(object):
         row = census_row(3, 3, seed=5, trials=3, checkpoint_path=path)
         assert row == census_row(3, 3, seed=5, trials=3)
         assert json.load(open(path))["trials"] == 3
+
+    def test_checkpoint_of_labeled_census_is_ignored(self, tmp_path):
+        """A file without the format field holds per-labeled-graph block counts,
+        which differ from orbit counts: it must not be resumed."""
+        path = str(tmp_path / "ckpt.json")
+        with open(path, "w") as fh:
+            json.dump(
+                {"n": 3, "m": 3, "seed": 5, "trials": 3, "next_index": 7, "counts": [1, 1, 1, 3, 2, 4, 3]},
+                fh,
+            )
+        row = census_row(3, 3, seed=5, checkpoint_path=path)
+        assert row == census_row(3, 3, seed=5)
+        assert json.load(open(path))["format"] == "orbit"
 
     def test_mismatched_checkpoint_is_ignored(self, tmp_path):
         path = str(tmp_path / "ckpt.json")

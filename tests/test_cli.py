@@ -284,11 +284,17 @@ def _models(draw):
 
 
 @pytest.mark.parametrize(
-    "command, flag, shaped",
-    [("construct", "--script", _SCRIPTS), ("analyze", "--model", _models())],
-    ids=["construct", "analyze"],
+    "command, flag, shaped, extra",
+    [
+        ("construct", "--script", _SCRIPTS, ()),
+        ("analyze", "--model", _models(), ()),
+        ("ioeq", "--model", _models(), ()),
+        ("cyclespace", "--model", _models(), ()),
+        ("transform", "--model", _models(), ("--add-leak", "2")),
+    ],
+    ids=["construct", "analyze", "ioeq", "cyclespace", "transform"],
 )
-def test_any_json_input_gives_exit_code_0_or_1(capsys, tmp_path, command, flag, shaped):
+def test_any_json_input_gives_exit_code_0_or_1(capsys, tmp_path, command, flag, shaped, extra):
     """Arbitrary text, arbitrary JSON and well-shaped documents with wrong
     values all end in a result or an error document, never a traceback."""
 
@@ -303,7 +309,7 @@ def test_any_json_input_gives_exit_code_0_or_1(capsys, tmp_path, command, flag, 
     def check(text):
         path = tmp_path / "input.json"
         path.write_text(text)
-        code, out = run(capsys, command, flag, str(path), "--format", "json")
+        code, out = run(capsys, command, flag, str(path), *extra, "--format", "json")
         assert code in (0, 1)
         assert ("error" in json.loads(out)) == (code == 1)
 
@@ -324,6 +330,14 @@ def test_non_finite_number_gives_error_document(capsys, tmp_path, command, flag,
     code, out = run(capsys, command, flag, str(path), "--format", "json")
     assert code == 1
     assert "integer" in json.loads(out)["message"]
+
+
+def test_vertex_count_above_cap_gives_error_document(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 10000000, "edges": [], "in": [1], "out": [1]}')
+    code, out = run(capsys, "analyze", "--model", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == "VertexOutOfRange"
 
 
 class TestCensusCommand:
@@ -351,7 +365,7 @@ class TestCensusCommand:
         assert json.loads(out)["error"] == "ModelError"
         assert not os.path.exists(out_path)
 
-    @pytest.mark.parametrize("n, m", [("0", "0"), ("3", "99"), ("3", "-1")])
+    @pytest.mark.parametrize("n, m", [("0", "0"), ("3", "99"), ("3", "-1"), ("8", "0")])
     def test_impossible_row_rejected(self, capsys, tmp_path, n, m):
         out_path = str(tmp_path / "rows.csv")
         code, out = run(
@@ -362,15 +376,34 @@ class TestCensusCommand:
         assert not os.path.exists(out_path)
 
     def test_impossible_row_makes_no_checkpoint_dir(self, capsys, tmp_path):
+        for row in (["--n", "0", "--m", "0"], ["--n", "3", "--m", "3", "--trials", "0"]):
+            ck = tmp_path / "ck"
+            code, out = run(
+                capsys,
+                "census", *row, "--checkpoint-dir", str(ck),
+                "--out", str(tmp_path / "rows.csv"), "--format", "json",
+            )
+            assert code == 1
+            assert json.loads(out)["error"] == "ModelError"
+            assert not ck.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["garbage", "[1, 2]", '{"format": "orbit", "n": 3, "m": 3, "seed": 0, "trials": 3}'],
+        ids=["not-json", "not-an-object", "no-counts"],
+    )
+    def test_corrupt_checkpoint_gives_error_document(self, capsys, tmp_path, text):
         ck = tmp_path / "ck"
+        ck.mkdir()
+        (ck / "census_3_3_0.json").write_text(text)
         code, out = run(
             capsys,
-            "census", "--n", "0", "--m", "0", "--checkpoint-dir", str(ck),
+            "census", "--n", "3", "--m", "3", "--seed", "0", "--checkpoint-dir", str(ck),
             "--out", str(tmp_path / "rows.csv"), "--format", "json",
         )
         assert code == 1
-        assert json.loads(out)["error"] == "ModelError"
-        assert not ck.exists()
+        doc = json.loads(out)
+        assert doc["error"] == "ModelError" and "checkpoint" in doc["message"]
 
     def test_single_m_value(self, capsys, tmp_path):
         out_path = str(tmp_path / "one.csv")

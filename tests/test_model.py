@@ -7,6 +7,7 @@ import pytest
 from identkit.model import (
     MODE_DIAG,
     MODE_EXPLICIT,
+    MAX_VERTICES,
     DuplicateEdge,
     EmptyInputSet,
     EmptyOutputSet,
@@ -47,6 +48,11 @@ class TestValidation:
             make_model(2, [(1, 3)], {1}, {2}, set())
         with pytest.raises(VertexOutOfRange):
             make_model(2, [(1, 2)], {1}, {5}, set())
+
+    def test_vertex_count_cap(self):
+        assert make_model(MAX_VERTICES, [], {1}, {1}, set()).n == MAX_VERTICES
+        with pytest.raises(VertexOutOfRange, match=f"<= {MAX_VERTICES}"):
+            make_model(MAX_VERTICES + 1, [], {1}, {1}, set())
 
     def test_empty_input_and_output(self):
         with pytest.raises(EmptyInputSet):
