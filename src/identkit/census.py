@@ -267,13 +267,15 @@ def _eval_chunk(args) -> list[int]:
 # -- row and table drivers ------------------------------------------------
 
 
-def _check_row(n: int, m: int, trials: int) -> None:
+def _check_row(n: int, m: int, trials: int, jobs: int = 1) -> None:
     if not 1 <= n <= MAX_N:
         raise ModelError(f"n={n} outside 1..{MAX_N}")
     if not 0 <= m <= n * (n - 1):
         raise ModelError(f"m={m} outside 0..{n * (n - 1)} for n={n}")
     if trials < 1:
         raise ModelError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise ModelError(f"jobs must be at least 1, got {jobs}")
 
 
 def _read_checkpoint(path: str, key: dict, total: int) -> tuple[list[int], int] | None:
@@ -310,14 +312,14 @@ def census_row(
     progress=None,
 ) -> CensusRow:
     """Count all graphs at (n, m); ModelError when n is outside 1..MAX_N, m
-    outside 0..n(n-1), trials below 1, or the checkpoint is unreadable.
+    outside 0..n(n-1), trials or jobs below 1, or the checkpoint is unreadable.
 
     With ``jobs > 1`` one process pool serves the whole row.  With a
     checkpoint path, partial counts are flushed every ``CHECKPOINT_EVERY``
     graph indices and an interrupted run resumes from the last flush (the
     file must match the format, n, m, seed and trials).
     """
-    _check_row(n, m, trials)
+    _check_row(n, m, trials, jobs)
     total = total_graphs(n, m)
     feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
@@ -329,14 +331,13 @@ def census_row(
 
     # worker k of a block takes its indices = k (mod jobs): class representatives
     # cluster at low indices, so contiguous chunks would load one worker
-    chunks = max(jobs, 1)
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
         while next_index < total:
             stop = min(next_index + CHECKPOINT_EVERY, total)
             tasks = [
-                (n, m, range(s, stop, chunks), seed, trials)
-                for s in range(next_index, min(next_index + chunks, stop))
+                (n, m, range(s, stop, jobs), seed, trials)
+                for s in range(next_index, min(next_index + jobs, stop))
             ]
             for part in mapper(_eval_chunk, tasks):
                 counts = [a + b for a, b in zip(counts, part)]
@@ -366,7 +367,7 @@ def census_table(
 ) -> list[CensusRow]:
     m_values = list(m_values)
     for m in m_values:
-        _check_row(n, m, trials)  # before any checkpoint directory is made
+        _check_row(n, m, trials, jobs)  # before any checkpoint directory is made
     rows = []
     for m in m_values:
         path = None

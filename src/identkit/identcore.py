@@ -1,14 +1,16 @@
 """Rank-based identifiability decisions and structural necessary conditions.
 
 Local identifiability is decided by the generic rank of the Jacobian of the
-coefficient map: at random nonzero integer points, modulo independent random
-~62-bit primes, the gradient of every coefficient polynomial is evaluated in
-one pass over its terms (no symbolic partial derivative is built); the rank
-reported is the maximum over trials.
-``jacobian_ranks`` is the one rank engine, shared with the census.  A rank
-deficit observed at random points is overwhelming but not proof-grade
-evidence, so reports keep it separate from the certificate-grade structural
-screens (parameter count, exchange, direct edge, short path).
+coefficient map: at random nonzero integer points, modulo fixed primes just
+below 2^62 (``PRIMES``), the gradient of every coefficient polynomial is
+evaluated in one pass over its terms (no symbolic partial derivative is
+built); the rank reported is the maximum over trials.
+``jacobian_ranks`` is the one rank engine, shared with the census.  A full
+rank at an integer point mod a prime is a full rank over Q, so it is
+proof-grade.  A rank deficit observed at random points is overwhelming but
+not proof-grade evidence, so reports keep it separate from the
+certificate-grade structural screens (parameter count, exchange, direct
+edge, short path).
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, ModelError, nor
 from .sympoly import SparsePoly, VarTable, jacobian_at
 
 VALUE_BOUND = 10_000
-PRIME_LOW = 2**61
-PRIME_HIGH = 2**62
 DEFAULT_TRIALS = 3
-PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-PSI_12 = 318665857834031151167461  # least composite that passes every base above
+# trial t works mod PRIMES[t % 3]: the three largest primes below 2^62
+PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
 
 
 class HypothesesNotMet(ValueError):
@@ -46,41 +46,6 @@ def derived_rng(seed: int, *key_parts: str) -> random.Random:
     return random.Random(int.from_bytes(h.digest()[:8], "big"))
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin over ``PRIME_BASES``: exact below PSI_12
-    (about 3.18e23, far above PRIME_HIGH) and refused from there on."""
-    if n >= PSI_12:
-        raise ValueError(f"{n} is outside the exact range of the 12-base test")
-    if n < 2:
-        return False
-    for a in PRIME_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime_62(rng: random.Random) -> int:
-    """A random prime in (2^61, 2^62)."""
-    while True:
-        candidate = rng.randrange(PRIME_LOW + 1, PRIME_HIGH, 2)
-        if is_prime(candidate):
-            return candidate
-
-
 def random_point(table: VarTable, rng: random.Random) -> tuple[int, ...]:
     """Parameter values drawn uniformly from nonzero integers in [-10^4, 10^4],
     so none vanishes mod a prime above 2^61."""
@@ -93,36 +58,44 @@ def random_point(table: VarTable, rng: random.Random) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination rank over F_p."""
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot = r
+def _reduce(row: list[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
+    """``row`` minus its multiples of the ``basis`` rows, in their order: each
+    basis row is 1 at its pivot column and 0 at the pivots before it, so the
+    result is 0 at every pivot."""
+    for c, b in basis:
+        f = row[c]
+        if f:
+            row = [(x - f * y) % p for x, y in zip(row, b)]
+    return row
+
+
+def _extend(basis: list[tuple[int, list[int]]], rows, p: int) -> int:
+    """Append to ``basis`` each of ``rows`` outside its span, reduced and
+    scaled to 1 at its first nonzero column; returns how many were added."""
+    size = len(basis)
+    for row in rows:
+        row = _reduce(row, basis, p)
+        for c, x in enumerate(row):
+            if x:
+                inv = pow(x, -1, p)
+                basis.append((c, [y * inv % p for y in row]))
                 break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        mrow = m[row]
-        for r in range(row + 1, nrows):
-            f = m[r][col]
-            if f:
-                f = f * inv % p
-                rr = m[r]
-                for c in range(col, ncols):
-                    rr[c] = (rr[c] - f * mrow[c]) % p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    return len(basis) - size
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int, subsets: Sequence[Sequence[int]]) -> list[int]:
+    """Rank over F_p of each subset of ``rows``, given as row ids.
+
+    The rows common to every subset are eliminated once; each other row is
+    reduced against that basis once, and each subset ranks only its own
+    residual rows.  With a single subset this is one plain elimination.
+    """
+    common = set(subsets[0]).intersection(*subsets[1:]) if subsets else set()
+    basis: list[tuple[int, list[int]]] = []
+    shared = _extend(basis, ([x % p for x in rows[r]] for r in sorted(common)), p)
+    others = set().union(*subsets) - common
+    residual = {r: _reduce([x % p for x in rows[r]], basis, p) for r in others}
+    return [shared + _extend([], (residual[r] for r in ids if r not in common), p) for ids in subsets]
 
 
 def jacobian_ranks(
@@ -135,21 +108,24 @@ def jacobian_ranks(
     """Maximum rank, over ``trials`` random points, of row subsets of the
     Jacobian of ``polys`` (rows) by the parameters of ``table`` (columns).
 
-    Each subset is (row ids, target rank).  A trial draws a prime and a
-    nonzero point, evaluates the Jacobian there mod p, and ranks each subset
-    that has not reached its target; trials stop once all have.
+    Each subset is (row ids, target rank).  Trial t draws a nonzero point,
+    evaluates the Jacobian there mod ``PRIMES[t % len(PRIMES)]``, and ranks
+    the subsets that have not reached their targets in one ``rank_mod_p``
+    call; trials stop once all have.  A rank found mod a prime is a lower
+    bound on the rank over Q, so a full rank is proof-grade; a deficit rests
+    on the random point (Schwartz-Zippel).
     """
     if trials < 1:
         raise ModelError(f"trials must be at least 1, got {trials}")
     best = [0] * len(subsets)
-    for _ in range(trials):
-        if all(b >= target for b, (_, target) in zip(best, subsets)):
+    for t in range(trials):
+        pending = [k for k, (_, target) in enumerate(subsets) if best[k] < target]
+        if not pending:
             break
-        p = random_prime_62(rng)
+        p = PRIMES[t % len(PRIMES)]
         jac = jacobian_at(polys, random_point(table, rng), p)
-        for k, (ids, target) in enumerate(subsets):
-            if best[k] < target:
-                best[k] = max(best[k], rank_mod_p([jac[r] for r in ids], p))
+        for k, rank in zip(pending, rank_mod_p(jac, p, [subsets[k][0] for k in pending])):
+            best[k] = max(best[k], rank)
     return best
 
 

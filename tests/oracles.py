@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from sympy import ZZ
+from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -75,6 +75,14 @@ def fraction_rank(rows) -> int:
         if row == nrows:
             break
     return rank
+
+
+def sympy_rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, by sympy's DomainMatrix."""
+    if not rows:
+        return 0
+    K = GF(p)
+    return DomainMatrix([[K(x) for x in row] for row in rows], (len(rows), len(rows[0])), K).rank()
 
 
 def dense_reachability(model: CompartmentalModel) -> dict[int, set[int]]:

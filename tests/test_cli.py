@@ -387,6 +387,20 @@ class TestCensusCommand:
             assert json.loads(out)["error"] == "ModelError"
             assert not ck.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
+        out_path = str(tmp_path / "rows.csv")
+        ck = tmp_path / "ck"
+        code, out = run(
+            capsys,
+            "census", "--n", "3", "--m", "3", "--jobs", jobs, "--checkpoint-dir", str(ck),
+            "--out", out_path, "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ModelError"
+        assert not os.path.exists(out_path)
+        assert not ck.exists()
+
     @pytest.mark.parametrize(
         "text",
         ["garbage", "[1, 2]", '{"format": "orbit", "n": 3, "m": 3, "seed": 0, "trials": 3}'],

@@ -8,21 +8,23 @@ import pytest
 import sympy
 
 from identkit.identcore import (
-    PRIME_HIGH,
-    PRIME_LOW,
+    PRIMES,
     HypothesesNotMet,
     classify_identifiability,
     edge_formula_check,
     expected_dimension_test,
     is_identifiable_path_cycle_model,
-    is_prime,
     jacobian_rank,
+    jacobian_ranks,
     necessary_conditions,
+    random_point,
+    rank_mod_p,
     self_cycles_identifiable,
 )
 from identkit.graphprops import is_strongly_connected, is_strongly_input_output_connected
 from identkit.ioeq import coefficient_map
 from identkit.model import MODE_DIAG, MODE_EXPLICIT, ModelError, make_model
+from identkit.sympoly import SparsePoly, VarTable
 
 from conftest import (
     cascade_exchange,
@@ -32,6 +34,7 @@ from conftest import (
     star_prime,
     star_two_exchanges,
 )
+from oracles import sympy_gradient_mod_p, sympy_rank_mod_p
 
 
 class TestJacobianRank:
@@ -69,29 +72,99 @@ class TestJacobianRank:
             jacobian_rank(empty, seed=0, trials=trials)
 
 
-class TestIsPrime:
-    def test_strong_pseudoprime_to_nine_bases(self):
-        psi_9 = 3825123056546413051  # passes bases 2..23, fails base 37
-        assert PRIME_LOW < psi_9 < PRIME_HIGH
-        assert not is_prime(psi_9)
+def planted_rows(rng: random.Random, nrows: int, ncols: int, draw, add) -> list:
+    """Rows from ``draw`` with planted deficits: zero columns, duplicates of
+    earlier rows and sums (by ``add``) of two earlier rows."""
+    zero = set(rng.sample(range(ncols), rng.randint(0, min(2, ncols))))
+    rows = []
+    for _ in range(nrows):
+        kind = rng.choice(("free", "free", "duplicate", "sum")) if len(rows) > 1 else "free"
+        if kind == "duplicate":
+            rows.append(rng.choice(rows))
+        elif kind == "sum":
+            a, b = rng.sample(rows, 2)
+            rows.append(add(a, b))
+        else:
+            rows.append(draw(zero))
+    return rows
 
-    def test_refuses_psi_12(self):
-        """psi_12 passes all twelve bases, so it is the first number the test
-        cannot decide; it is refused instead of called prime."""
-        psi_12 = 318665857834031151167461
-        assert not sympy.isprime(psi_12)
-        with pytest.raises(ValueError):
-            is_prime(psi_12)
-        assert is_prime(psi_12 - 2) == sympy.isprime(psi_12 - 2)
 
-    def test_small_numbers_match_sympy(self):
-        assert [n for n in range(3000) if is_prime(n)] == list(sympy.primerange(3000))
+def subset_families(rng: random.Random, nrows: int) -> list[list[list[int]]]:
+    """Row-id subsets that share a prefix, that share nothing, and a single one."""
+    ids = list(range(nrows))
+    prefix = ids[: rng.randint(1, nrows // 2)]
+    rest = ids[len(prefix) :]
+    shared = [prefix + sorted(rng.sample(rest, rng.randint(0, len(rest)))) for _ in range(rng.randint(2, 5))]
+    rng.shuffle(ids)
+    cut = sorted(rng.sample(range(1, nrows), rng.randint(1, min(3, nrows - 1))))
+    disjoint = [ids[a:b] for a, b in zip([0] + cut, cut + [nrows])]
+    single = [sorted(rng.sample(range(nrows), rng.randint(1, nrows)))]
+    return [shared, disjoint, single]
 
-    def test_matches_sympy_on_62_bit_candidates(self):
-        rng = random.Random(2024)
-        for _ in range(3000):
-            candidate = rng.randrange(PRIME_LOW + 1, PRIME_HIGH, 2)
-            assert is_prime(candidate) == sympy.isprime(candidate), candidate
+
+class TestRankEngine:
+    """``rank_mod_p`` and ``jacobian_ranks`` against sympy over GF(p)."""
+
+    def test_primes(self):
+        assert len(set(PRIMES)) == len(PRIMES)
+        for p in PRIMES:
+            assert 2**61 < p < 2**62
+            assert sympy.isprime(p)
+
+    def test_rank_mod_p_matches_oracle(self):
+        rng = random.Random(7)
+        for case in range(60):
+            p = PRIMES[case % len(PRIMES)]
+            nrows, ncols = rng.randint(2, 10), rng.randint(1, 8)
+            # small entries make many accidental deficits
+            low, high = (-3, 4) if case % 2 == 0 else (-p, 2 * p)
+
+            def draw(zero):
+                return [0 if c in zero else rng.randrange(low, high) for c in range(ncols)]
+
+            def add(a, b):
+                return [x + y for x, y in zip(a, b)]
+
+            rows = planted_rows(rng, nrows, ncols, draw, add)
+            for subsets in subset_families(rng, nrows):
+                expected = [sympy_rank_mod_p([rows[r] for r in ids], p) for ids in subsets]
+                assert rank_mod_p(rows, p, subsets) == expected, (rows, subsets)
+
+    def test_rank_mod_p_edge_cases(self):
+        p = PRIMES[0]
+        assert rank_mod_p([], p, []) == []
+        assert rank_mod_p([[1, 2]], p, [[], [0]]) == [0, 1]
+        assert rank_mod_p([[p, 2 * p], [1, 1]], p, [[0], [0, 1]]) == [0, 1]
+
+    def test_jacobian_ranks_match_oracle(self):
+        rng = random.Random(11)
+        for case in range(12):
+            ncols = rng.randint(2, 6)
+            table = VarTable(tuple(f"x{i}" for i in range(ncols)))
+
+            def draw(zero):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    exp = tuple(0 if c in zero else rng.randint(0, 2) for c in range(ncols)) + (0,)
+                    terms[exp] = rng.randint(-5, 5)
+                return SparsePoly(table, terms)
+
+            polys = planted_rows(rng, rng.randint(2, 8), ncols, draw, lambda a, b: a + b)
+            trials = rng.randint(1, 4)
+            for ids_list in subset_families(rng, len(polys)):
+                replay = random.Random(case)
+                expected = [0] * len(ids_list)
+                for t in range(trials):
+                    p = PRIMES[t % len(PRIMES)]
+                    point = random_point(table, replay)
+                    jac = [sympy_gradient_mod_p(poly, point, p) for poly in polys]
+                    ranks = [sympy_rank_mod_p([jac[r] for r in ids], p) for ids in ids_list]
+                    expected = [max(a, b) for a, b in zip(expected, ranks)]
+                # targets never reached rank every subset at every trial; reached
+                # targets drop subsets from later trials, changing the shared rows
+                for targets in ([ncols + 1] * len(ids_list), expected):
+                    subsets = list(zip(ids_list, targets))
+                    assert jacobian_ranks(polys, table, random.Random(case), trials, subsets) == expected
 
 
 class TestClassify:
