@@ -36,7 +36,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ModelError(f"IDENTKIT_SEED must be an integer, got {raw!r}") from None
 
 
 def _parse_leaks(text: str, n: int) -> frozenset[int]:
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--leaks", help="'all', 'none', or comma list overriding the file")
         if ranks:
-            p.add_argument("--seed", type=int, default=_default_seed())
+            p.add_argument("--seed", type=int, help="default: $IDENTKIT_SEED, else 0")
             p.add_argument("--trials", type=int, default=identcore.DEFAULT_TRIALS)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -316,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except _USER_ERRORS as exc:
         if getattr(args, "format", "text") == "json":

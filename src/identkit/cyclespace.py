@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphprops import CapExceeded
-from .model import CompartmentalModel, Param
+from .model import CompartmentalModel, ModelError, Param
 
 DEFAULT_CAP = 100_000
 
@@ -33,6 +33,8 @@ def _closing_walks(adj: dict[int, list[int]], path: list[int], target: int, allo
 def _walk_edges(model: CompartmentalModel, starts, cap: int, what: str):
     """The closing walks of every (start, target, allowed) in ``starts`` as
     edge tuples, sorted by (length, vertex sequence); at most ``cap`` of them."""
+    if cap < 0:
+        raise ModelError(f"cap must be at least 0, got {cap}")
     adj = {v: model.out_neighbors(v) for v in model.vertices}
     out = []
     for start, target, allowed in starts:

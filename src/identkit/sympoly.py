@@ -1,26 +1,40 @@
 """Exact sparse multivariate polynomial arithmetic with integer coefficients.
 
-A polynomial is a dict mapping exponent tuples to (arbitrary-precision) int
-coefficients.  Exponent tuples have a fixed arity given by a shared
-:class:`VarTable`: one slot per named parameter plus one final slot reserved
-for the differential indeterminate ``D`` (the operator variable of
+A polynomial maps monomials to (arbitrary-precision) int coefficients over a
+shared :class:`VarTable`: one slot per named parameter plus one final slot
+reserved for the differential indeterminate ``D`` (the operator variable of
 characteristic polynomials).  Zero coefficients are never stored; the zero
 polynomial is the empty dict.
+
+A monomial is packed into one int: the exponent in slot i takes bits
+[i*W, (i+1)*W) with W = :data:`SLOT_BITS`, and ``D`` takes the top slot, so
+the product of two monomials is one integer addition.  The top bit of every
+slot is a guard: stored exponents are at most :data:`MAX_EXPONENT`, so the
+sum of two never carries into the next slot, and a product with an exponent
+above it raises :class:`OverflowError`.  The constructor takes terms as
+{exponent tuple: coefficient}, and :attr:`SparsePoly.terms` decodes them back
+into that form for printing and tests.
 
 All arithmetic is exact; no floating point appears anywhere in this module.
 :func:`char_poly_coeffs` reads the characteristic polynomial of a matrix and
 any of its signed cofactors from one memoized Laplace expansion of
 ``D*I - M``; :func:`determinant` uses the same expansion.
 :func:`jacobian_at` evaluates the gradients of D-free polynomials at an
-integer point modulo a prime without building any derivative polynomial.
-Polynomials built over different variable tables cannot be mixed
-(:class:`VariableMismatch`).
+integer point modulo a prime without building any derivative polynomial:
+each packed monomial is split into a low and a high half of slots, and each
+distinct half is valued and differentiated once per call.  Polynomials built
+over different variable tables cannot be mixed (:class:`VariableMismatch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
+
+SLOT_BITS = 8  # bits per exponent slot of a packed monomial
+SLOT_MASK = (1 << SLOT_BITS) - 1
+MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1  # the slot's top bit is the guard
 
 
 class VariableMismatch(ValueError):
@@ -42,65 +56,111 @@ class VarTable:
     def arity(self) -> int:
         return len(self.params) + 1
 
+    @cached_property
+    def guard(self) -> int:
+        """The top bit of every slot: a packed monomial has one of them set
+        exactly when one of its exponents exceeds MAX_EXPONENT."""
+        return sum(1 << (i * SLOT_BITS + SLOT_BITS - 1) for i in range(self.arity))
+
     def index_of(self, label: Hashable) -> int:
         try:
             return self.params.index(label)
         except ValueError:
             raise VariableMismatch(f"unknown variable {label!r}") from None
 
+    def pack(self, exponents: Sequence[int]) -> int:
+        if len(exponents) != self.arity:
+            raise VariableMismatch(f"{len(exponents)} exponents for {self.arity} slots")
+        key = 0
+        for i, k in enumerate(exponents):
+            if not 0 <= k <= MAX_EXPONENT:
+                raise OverflowError(f"exponent {k} outside 0..{MAX_EXPONENT}")
+            key |= k << (i * SLOT_BITS)
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple((key >> (i * SLOT_BITS)) & SLOT_MASK for i in range(self.arity))
+
+
+def _mul_add(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale: int) -> None:
+    """Add ``scale`` times the product of the packed polynomials ``a`` and
+    ``b`` to ``acc``, which may be left holding zero coefficients."""
+    get = acc.get
+    for ea, ca in a.items():
+        ca *= scale
+        for eb, cb in b.items():
+            e = ea + eb
+            acc[e] = get(e, 0) + ca * cb
+
+
+def _settle(acc: dict[int, int], guard: int) -> dict[int, int]:
+    """``acc`` without its zero coefficients; a surviving exponent above
+    MAX_EXPONENT raises instead of being stored."""
+    out = {e: c for e, c in acc.items() if c}
+    if any(map(guard.__and__, out)):
+        raise OverflowError(f"an exponent exceeds {MAX_EXPONENT}")
+    return out
+
 
 class SparsePoly:
-    """Immutable sparse polynomial over a :class:`VarTable`."""
+    """Immutable sparse polynomial over a :class:`VarTable`; ``packed`` maps
+    packed monomials to their nonzero coefficients."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "packed")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int]):
         self.table = table
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.packed = {table.pack(e): c for e, c in terms.items() if c != 0}
+
+    @staticmethod
+    def _of(table: VarTable, packed: dict[int, int]) -> "SparsePoly":
+        res = SparsePoly.__new__(SparsePoly)
+        res.table = table
+        res.packed = packed
+        return res
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The terms as {exponent tuple: coefficient}, decoded on each access."""
+        unpack = self.table.unpack
+        return {unpack(e): c for e, c in self.packed.items()}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(table: VarTable) -> "SparsePoly":
-        return SparsePoly(table, {})
+        return SparsePoly._of(table, {})
 
     @staticmethod
     def const(table: VarTable, value: int) -> "SparsePoly":
-        if value == 0:
-            return SparsePoly.zero(table)
-        return SparsePoly(table, {(0,) * table.arity: value})
+        return SparsePoly._of(table, {0: value} if value else {})
 
     @staticmethod
     def var(table: VarTable, label: Hashable) -> "SparsePoly":
-        idx = table.index_of(label)
-        exp = [0] * table.arity
-        exp[idx] = 1
-        return SparsePoly(table, {tuple(exp): 1})
+        return SparsePoly._of(table, {1 << (table.index_of(label) * SLOT_BITS): 1})
 
     @staticmethod
     def d_var(table: VarTable) -> "SparsePoly":
-        exp = [0] * table.arity
-        exp[-1] = 1
-        return SparsePoly(table, {tuple(exp): 1})
+        return SparsePoly._of(table, {1 << (len(table.params) * SLOT_BITS): 1})
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.table.arity: 1}
+        return self.packed == {0: 1}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self.packed == other.packed
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.packed.items()))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- ring operations ----------------------------------------------
 
@@ -110,60 +170,50 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
-        if not self.terms:
+        if not self.packed:
             return other
-        if not other.terms:
+        if not other.packed:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self.packed)
+        for e, c in other.packed.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
                 del out[e]
-        res = SparsePoly.__new__(SparsePoly)
-        res.table = self.table
-        res.terms = out
-        return res
+        return SparsePoly._of(self.table, out)
 
     def __neg__(self) -> "SparsePoly":
-        res = SparsePoly.__new__(SparsePoly)
-        res.table = self.table
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return SparsePoly._of(self.table, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
-        if not self.terms or not other.terms:
-            return SparsePoly.zero(self.table)
-        out: dict[tuple[int, ...], int] = {}
-        a_items = self.terms.items()
-        b_items = list(other.terms.items())
-        for ea, ca in a_items:
-            for eb, cb in b_items:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        res = SparsePoly.__new__(SparsePoly)
-        res.table = self.table
-        res.terms = out
-        return res
+        acc: dict[int, int] = {}
+        _mul_add(acc, self.packed, other.packed, 1)
+        return SparsePoly._of(self.table, _settle(acc, self.table.guard))
 
     # -- D handling -----------------------------------------------------
 
     def d_coefficient(self, power: int) -> "SparsePoly":
         """The coefficient of ``D**power`` as a D-free polynomial."""
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            if e[-1] == power:
-                out[e[:-1] + (0,)] = c
-        return SparsePoly(self.table, out)
+        shift = len(self.table.params) * SLOT_BITS
+        low = (1 << shift) - 1
+        return SparsePoly._of(
+            self.table, {e & low: c for e, c in self.packed.items() if e >> shift == power}
+        )
+
+    def d_coefficients(self, top: int) -> list["SparsePoly"]:
+        """The coefficients of ``D**top, ..., D**0`` as D-free polynomials,
+        split off in one pass; a power of D above ``top`` raises IndexError."""
+        shift = len(self.table.params) * SLOT_BITS
+        low = (1 << shift) - 1
+        parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        for e, c in self.packed.items():
+            parts[e >> shift][e & low] = c
+        return [SparsePoly._of(self.table, part) for part in reversed(parts)]
 
     # -- rendering ------------------------------------------------------
 
@@ -172,7 +222,7 @@ class SparsePoly:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts: list[str] = []
         for e, c in self.sorted_terms():
@@ -207,29 +257,70 @@ def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> l
     """Jacobian of D-free ``polys`` (rows) by their parameters (columns) at
     ``values``, reduced mod the prime ``p``; no derivative is built.
 
-    A term c * prod x_i^k_i is valued once, as v mod p, and adds
-    k_i * v * x_i^-1 to column i.  Every value must therefore be nonzero mod
-    p; ``pow(x, -1, p)`` raises otherwise, so a zero value cannot give a
-    silently wrong entry.
+    Each monomial is split into a low half (the first len(values) // 2
+    slots) and a high half (the rest).  A half h is decoded once per call
+    into its value v(h) mod p and its gradient k_i * v(h) * x_i^-1 at each
+    slot i with exponent k_i.  The term c * lo * hi has gradient
+    c * (v(hi) * grad(lo) + v(lo) * grad(hi)), so a row is the sum, over the
+    distinct halves of its terms, of each half's gradient times the summed
+    weights c * v(other half) of the terms that contain it.
+
+    Every value must be nonzero mod p; ``pow(x, -1, p)`` raises otherwise,
+    so a zero value cannot give a silently wrong entry.
     """
+    ncols = len(values)
     inverse = [pow(x, -1, p) for x in values]
+    split = ncols // 2 * SLOT_BITS  # the first bit of the high half
+    low_mask = (1 << split) - 1
+    # per half: packed half -> its value, and -> its gradient [(column, entry)]
+    low_value: dict[int, int] = {}
+    low_grad: dict[int, list[tuple[int, int]]] = {}
+    high_value: dict[int, int] = {}
+    high_grad: dict[int, list[tuple[int, int]]] = {}
+
+    def decode(half: int, col: int, value: dict, grad: dict) -> int:
+        """Record the value and gradient of ``half``, whose first slot is
+        column ``col``, in ``value`` and ``grad``; returns the value."""
+        key = half
+        v = 1
+        support = []
+        while half:
+            k = half & SLOT_MASK
+            if k:
+                if col == ncols:
+                    raise VariableMismatch("cannot evaluate a polynomial containing D")
+                support.append((col, k))
+                v = v * (values[col] if k == 1 else values[col] ** k) % p
+            half >>= SLOT_BITS
+            col += 1
+        value[key] = v
+        grad[key] = [(i, k * v * inverse[i] % p) for i, k in support]
+        return v
+
     rows = []
     for poly in polys:
-        if len(poly.table.params) != len(values):
+        if len(poly.table.params) != ncols:
             raise VariableMismatch(
-                f"point assigns {len(values)} values for {len(poly.table.params)} parameters"
+                f"point assigns {ncols} values for {len(poly.table.params)} parameters"
             )
-        grad = [0] * len(values)
-        for e, c in poly.terms.items():
-            if e[-1]:
-                raise VariableMismatch("cannot evaluate a polynomial containing D")
-            support = [(i, k) for i, k in enumerate(e) if k]
-            v = c
-            for i, k in support:
-                v *= values[i] if k == 1 else values[i] ** k
-            v %= p
-            for i, k in support:
-                grad[i] += k * v * inverse[i]
+        low_weight: dict[int, int] = {}
+        high_weight: dict[int, int] = {}
+        for e, c in poly.packed.items():
+            lo = e & low_mask
+            hi = e >> split
+            v_lo = low_value.get(lo)
+            if v_lo is None:
+                v_lo = decode(lo, 0, low_value, low_grad)
+            v_hi = high_value.get(hi)
+            if v_hi is None:
+                v_hi = decode(hi, ncols // 2, high_value, high_grad)
+            low_weight[lo] = low_weight.get(lo, 0) + c * v_hi
+            high_weight[hi] = high_weight.get(hi, 0) + c * v_lo
+        grad = [0] * ncols
+        for weights, grads in ((low_weight, low_grad), (high_weight, high_grad)):
+            for half, w in weights.items():
+                for i, g in grads[half]:
+                    grad[i] += w * g
         rows.append([g % p for g in grad])
     return rows
 
@@ -239,34 +330,37 @@ def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> l
 
 def _laplace(rows: Sequence[Sequence[SparsePoly]], table: VarTable):
     """Minor function of a square polynomial matrix: ``minor(rowmask, colmask)``
-    is the determinant of the submatrix on those row and column bit sets.
+    is the packed determinant of the submatrix on those row and column bit sets.
 
     Each minor is expanded along its first row and memoized on (row set,
     column set), so the determinant and every cofactor of one matrix share
     their sub-minors; expanding the top rows first leaves row-suffix states
     that all of them reach.  Structural zeros prune most branches.
     """
-    memo = {(0, 0): SparsePoly.const(table, 1)}  # the empty minor
+    if any(e.table is not table and e.table != table for row in rows for e in row):
+        raise VariableMismatch("matrix entries built over a different variable table")
+    packed_rows = [[e.packed for e in row] for row in rows]
+    guard = table.guard
+    memo: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}  # the empty minor
 
-    def minor(rowmask: int, colmask: int) -> SparsePoly:
+    def minor(rowmask: int, colmask: int) -> dict[int, int]:
         cached = memo.get((rowmask, colmask))
         if cached is not None:
             return cached
         low_row = rowmask & -rowmask
-        row = rows[low_row.bit_length() - 1]
-        acc = SparsePoly.zero(table)
+        row = packed_rows[low_row.bit_length() - 1]
+        acc: dict[int, int] = {}
         sign = 1
         rest = colmask
         while rest:
             low = rest & -rest
             entry = row[low.bit_length() - 1]
-            if entry.terms:
-                contrib = entry * minor(rowmask ^ low_row, colmask ^ low)
-                acc = acc + (contrib if sign > 0 else -contrib)
+            if entry:
+                _mul_add(acc, entry, minor(rowmask ^ low_row, colmask ^ low), sign)
             sign = -sign
             rest ^= low
-        memo[rowmask, colmask] = acc
-        return acc
+        out = memo[rowmask, colmask] = _settle(acc, guard)
+        return out
 
     return minor
 
@@ -277,7 +371,7 @@ def determinant(rows: Sequence[Sequence[SparsePoly]], table: VarTable) -> Sparse
     if any(len(r) != dim for r in rows):
         raise ValueError("determinant requires a square matrix")
     full = (1 << dim) - 1
-    return _laplace(rows, table)(full, full)
+    return SparsePoly._of(table, _laplace(rows, table)(full, full))
 
 
 def char_matrix(entries: Sequence[Sequence[SparsePoly]], table: VarTable) -> list[list[SparsePoly]]:
@@ -302,20 +396,19 @@ def char_poly_coeffs(
     dim = len(entries)
     minor = _laplace(char_matrix(entries, table), table)
     full = (1 << dim) - 1
-    det = minor(full, full)
-    if not det.d_coefficient(dim).is_one():
+    head, *out = SparsePoly._of(table, minor(full, full)).d_coefficients(dim)
+    if not head.is_one():
         raise AssertionError("characteristic polynomial is not monic")
-    out = [det.d_coefficient(p) for p in range(dim - 1, -1, -1)]
     for i, j in positions:
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"minor position ({i},{j}) out of range for dim {dim}")
-        cof = minor(full ^ (1 << (i - 1)), full ^ (1 << (j - 1)))
+        cof = SparsePoly._of(table, minor(full ^ (1 << (i - 1)), full ^ (1 << (j - 1))))
         if (i + j) % 2:
             cof = -cof
-        head = cof.d_coefficient(dim - 1)
+        head, *rest = cof.d_coefficients(dim - 1)
         if i == j and not head.is_one():
             raise AssertionError("principal minor is not monic")
-        if i != j and head.terms:
+        if i != j and head.packed:
             raise AssertionError("off-diagonal minor has unexpected leading D coefficient")
-        out += [cof.d_coefficient(p) for p in range(dim - 2, -1, -1)]
+        out += rest
     return out

@@ -68,6 +68,16 @@ class TestAnalyze:
         code, out = run(capsys, "analyze", "--model", fixture("fan_in.json"))
         assert code == 0 and "seed=123" in out
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    def test_malformed_env_seed_is_an_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("IDENTKIT_SEED", raw)
+        code, out = run(capsys, "analyze", "--model", fixture("fan_in.json"), "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "ModelError" and "IDENTKIT_SEED" in doc["message"]
+        code, out = run(capsys, "analyze", "--model", fixture("fan_in.json"), "--seed", "4")
+        assert code == 0 and "seed=4" in out
+
     def test_missing_file_is_reported(self, capsys):
         code, _ = run(capsys, "analyze", "--model", "no_such_model.json")
         assert code == 1
@@ -119,9 +129,17 @@ def test_malformed_arguments_give_error_document(capsys, argv):
     assert code == 1 and out == ""
 
 
-def test_import_loads_neither_sympy_nor_networkx():
+def test_import_loads_only_the_standard_library():
     src = os.path.dirname(os.path.dirname(identkit.__file__))
-    probe = "import sys, identkit.cli; print(sorted({'sympy', 'networkx'} & set(sys.modules)))"
+    # Modules loaded at interpreter start-up (site hooks) are not identkit's;
+    # __mp_main__ is multiprocessing's alias of __main__.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import identkit.cli\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'identkit', '__mp_main__'}))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -170,6 +188,18 @@ class TestCyclespace:
         doc = json.loads(out)
         assert doc["independent_count"] == 10
         assert len(doc["monomials"]) == 11
+
+    def test_negative_cap_is_a_model_error(self, capsys):
+        argv = ("cyclespace", "--model", fixture("cascade_exchange.json"), "--cap", "-5")
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "ModelError" and "cap must be at least 0" in doc["message"]
+
+    def test_zero_cap_with_cycles_is_exceeded(self, capsys):
+        argv = ("cyclespace", "--model", fixture("cascade_exchange.json"), "--cap", "0")
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1 and json.loads(out)["error"] == "CapExceeded"
 
 
 class TestTransform:

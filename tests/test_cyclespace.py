@@ -18,7 +18,7 @@ from identkit.graphprops import (
     is_strongly_connected,
     is_strongly_input_output_connected,
 )
-from identkit.model import make_model
+from identkit.model import ModelError, make_model
 
 from conftest import (
     cascade_exchange,
@@ -58,6 +58,16 @@ class TestCycleEnumeration:
         m = make_model(5, [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j], {1}, {1}, set())
         with pytest.raises(CapExceeded):
             enumerate_simple_cycles(m, cap=3)
+
+    def test_negative_cap_rejected_before_any_walk(self):
+        for enumerate_walks in (enumerate_simple_cycles, enumerate_io_paths, path_cycle_rank):
+            with pytest.raises(ModelError, match="cap must be at least 0"):
+                enumerate_walks(make_model(1, [], {1}, {1}, set()), cap=-1)
+
+    def test_zero_cap(self):
+        assert enumerate_simple_cycles(make_model(2, [(1, 2)], {1}, {2}, set()), cap=0) == []
+        with pytest.raises(CapExceeded):
+            enumerate_simple_cycles(three_cycle(), cap=0)
 
 
 class TestPathEnumeration:

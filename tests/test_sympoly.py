@@ -7,6 +7,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identkit.identcore import PRIMES, random_point
 from identkit.ioeq import coefficient_map
@@ -19,6 +21,7 @@ from identkit.model import (
     make_model,
 )
 from identkit.sympoly import (
+    MAX_EXPONENT,
     SparsePoly,
     VariableMismatch,
     VarTable,
@@ -95,6 +98,67 @@ class TestRingOps:
         assert str(SparsePoly.zero(t)) == "0"
 
 
+@st.composite
+def polys_over_one_table(draw, count, max_exponent=MAX_EXPONENT):
+    """``count`` polynomials over one random table of arity 1..40 (no
+    parameters at arity 1), with exponents up to ``max_exponent`` in every
+    slot, D included."""
+    table = VarTable(tuple(f"x{i}" for i in range(draw(st.integers(0, 39)))))
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * table.arity)
+    terms = st.dictionaries(exponents, st.integers(-9, 9), max_size=5)
+    return table, [draw(terms) for _ in range(count)]
+
+
+class TestPackedMonomials:
+    """Monomials are packed ints; ``terms`` decodes them back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys_over_one_table(1))
+    def test_round_trip(self, drawn):
+        table, (terms,) = drawn
+        assert SparsePoly(table, terms).terms == {e: c for e, c in terms.items() if c}
+
+    @pytest.mark.parametrize("nparams", [0, 1, 39])
+    def test_round_trip_extremes(self, nparams):
+        t = VarTable(tuple(range(nparams)))
+        top = (MAX_EXPONENT,) * t.arity
+        low = tuple(MAX_EXPONENT * (i % 2) for i in range(t.arity))
+        terms = {top: -3, low: 2, (0,) * t.arity: 1}
+        assert SparsePoly(t, terms).terms == terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys_over_one_table(2, max_exponent=63))
+    def test_ring_ops_match_sympy(self, drawn):
+        table, (ta, tb) = drawn
+        a, b = SparsePoly(table, ta), SparsePoly(table, tb)
+        sa, sb = sympy_poly(a)[0], sympy_poly(b)[0]
+        assert sympy_poly(a + b)[0] == sa + sb
+        assert sympy_poly(a - b)[0] == sa - sb
+        assert sympy_poly(a * b)[0] == sa * sb
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys_over_one_table(1), st.integers(0, MAX_EXPONENT))
+    def test_d_coefficient_matches_sympy(self, drawn, power):
+        table, (terms,) = drawn
+        poly = SparsePoly(table, terms)
+        element, gens = sympy_poly(poly)
+        for k in {e[-1] for e in terms} | {power}:
+            assert sympy_poly(poly.d_coefficient(k))[0] == element.coeff_wrt(gens[-1], k)
+
+    def test_exponent_overflow_raises(self):
+        t = table_for(a21)
+        x64 = SparsePoly(t, {(64, 0): 1})
+        with pytest.raises(OverflowError):
+            _ = x64 * x64
+        d64 = SparsePoly(t, {(0, 64): 1})
+        with pytest.raises(OverflowError):
+            _ = d64 * d64
+        assert (x64 * d64).terms == {(64, 64): 1}
+        for bad in ((128, 0), (-1, 0), (0, 128), (0, -1)):
+            with pytest.raises(OverflowError):
+                SparsePoly(t, {bad: 1})
+
+
 class TestEvaluate:
     """Gradients at a point, by ``jacobian_at``."""
 
@@ -162,6 +226,26 @@ class TestJacobianAtOracle:
             values = tuple(rng.choice((-1, 1)) * rng.randint(1, 10**4) for _ in t.params)
             p = rng.choice(PRIMES)
             assert jacobian_at([poly], values, p) == [sympy_gradient_mod_p(poly, values, p)]
+
+    @pytest.mark.parametrize("nparams", [1, 2, 3, 5, 7])
+    def test_powers_on_both_sides_of_the_half_split(self, rng, nparams):
+        # Terms pair halves from small pools, so halves recur across terms
+        # and polynomials; exponents up to 5 sit on both sides of the split.
+        t = VarTable(tuple(f"x{i}" for i in range(nparams)))
+        cut = nparams // 2
+        for _ in range(30):
+            lows = [tuple(rng.randint(0, 5) for _ in range(cut)) for _ in range(3)]
+            highs = [tuple(rng.randint(0, 5) for _ in range(nparams - cut)) for _ in range(3)]
+            polys = []
+            for _ in range(rng.randint(1, 4)):
+                terms = {}
+                for _ in range(rng.randint(0, 8)):
+                    terms[rng.choice(lows) + rng.choice(highs) + (0,)] = rng.randint(-9, 9)
+                polys.append(SparsePoly(t, terms))
+            values = tuple(rng.choice((-1, 1)) * rng.randint(1, 10**4) for _ in t.params)
+            p = rng.choice(PRIMES)
+            expected = [sympy_gradient_mod_p(poly, values, p) for poly in polys]
+            assert jacobian_at(polys, values, p) == expected
 
 
 class TestCharPoly:
