@@ -121,7 +121,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_ioeq(args) -> int:
     model = _load(args)
     mode = args.mode or ("diag" if model.leaks == frozenset(model.vertices) else "explicit")
-    outputs = [args.output] if args.output else sorted(model.outputs)
+    outputs = [args.output] if args.output is not None else sorted(model.outputs)
     eqs = [ioeq.io_equation(model, j, mode) for j in outputs]
     doc = {
         "mode": mode,

@@ -195,18 +195,6 @@ def is_strongly_input_output_connected(model: CompartmentalModel) -> bool:
     return all(e in on_paths for e in pending)
 
 
-def sioc_via_augmentation(n: int, edges, inputs, outputs) -> bool:
-    """Strong-connectivity test of the graph augmented with output->input
-    edges; equivalent to the definitional check when |In| = 1 or |Out| = 1.
-
-    This is the fast route used by the census.
-    """
-    if len(inputs) != 1 and len(outputs) != 1:
-        raise PreconditionViolated("augmentation shortcut needs a single input or a single output")
-    extra = tuple((j, i) for j in outputs for i in inputs if j != i)
-    return strongly_connected_raw(n, tuple(edges) + extra)
-
-
 def is_inductively_strongly_connected(
     model: CompartmentalModel, start: int, node_cap: int = 500_000
 ) -> tuple[bool, tuple[int, ...] | None]:

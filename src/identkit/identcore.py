@@ -4,7 +4,9 @@ Local identifiability is decided by the generic rank of the Jacobian of the
 coefficient map: at random nonzero integer points, modulo fixed primes just
 below 2^62 (``PRIMES``), the gradient of every coefficient polynomial is
 evaluated in one pass over its terms (no symbolic partial derivative is
-built); the rank reported is the maximum over trials.
+built); the rank reported is the maximum over trials.  Trials stop once the
+rank reaches a proven upper bound: the parameter count, the coefficient
+count, or, for a full-leak model with a bound tier, |E| + |In u Out|.
 ``jacobian_ranks`` is the one rank engine, shared with the census.  A full
 rank at an integer point mod a prime is a full rank over Q, so it is
 proof-grade.  A rank deficit observed at random points is overwhelming but
@@ -129,11 +131,19 @@ def jacobian_ranks(
     return best
 
 
-def jacobian_rank(cmap: CoefficientMap, seed: int = 0, trials: int = DEFAULT_TRIALS) -> int:
-    """Maximum Jacobian rank observed over ``trials`` random evaluations."""
+def jacobian_rank(
+    cmap: CoefficientMap, seed: int = 0, trials: int = DEFAULT_TRIALS, bound: int | None = None
+) -> int:
+    """Maximum Jacobian rank observed over ``trials`` random evaluations.
+
+    ``bound`` is a proven upper bound on the rank, if one is known: trials
+    stop once it is reached, since no later trial can go higher.
+    """
     key = "|".join(str(p) for p in cmap.param_order) + "#" + str(len(cmap.polys))
     rng = derived_rng(seed, "jacobian", key)
     target = min(len(cmap.polys), len(cmap.param_order))
+    if bound is not None:
+        target = min(target, bound)
     (rank,) = jacobian_ranks(cmap.polys, cmap.table, rng, trials, [(range(len(cmap.polys)), target)])
     return rank
 
@@ -318,12 +328,12 @@ def classify_identifiability(
     else:
         mode = normalize_mode(mode)
     cmap = coefficient_map(model, mode)
-    rank = jacobian_rank(cmap, seed, trials)
+    tier = bound_tier(model)
+    bound = len(model.edges) + len(model.in_union_out) if tier else None
+    rank = jacobian_rank(cmap, seed, trials, bound if full_leaks else None)
     param_count = len(cmap.param_order)
     sioc = graphprops.is_strongly_input_output_connected(model)
     sc = graphprops.is_strongly_connected(model)
-    tier = bound_tier(model)
-    bound = len(model.edges) + len(model.in_union_out) if tier else None
     conditions = necessary_conditions(model)
     if bound is not None and full_leaks and rank > bound:
         raise AssertionError(
@@ -388,7 +398,7 @@ def expected_dimension_test(
             "with one input, or output connectable with one output"
         )
     bound = len(model.edges) + len(model.in_union_out)
-    rank = jacobian_rank(coefficient_map(model, MODE_DIAG), seed, trials)
+    rank = jacobian_rank(coefficient_map(model, MODE_DIAG), seed, trials, bound)
     if rank > bound:
         raise AssertionError(f"rank {rank} exceeds the certified bound {bound}")
     return ExpectedDimensionResult(equals_bound=rank == bound, rank=rank, bound=bound, tier=tier)

@@ -310,6 +310,18 @@ def expdim_in1_out1_members(n: int, m: int, value_bound: int = 10**6):
 # -- labeled census ----------------------------------------------------------
 
 
+def sioc_via_augmentation(n: int, edges, inputs, outputs) -> bool:
+    """Strong-connectivity test of the graph augmented with output->input
+    edges; equivalent to the definitional check when |In| = 1 or |Out| = 1.
+    One DFS per call, independent of the census's shared closure."""
+    if len(inputs) != 1 and len(outputs) != 1:
+        raise graphprops.PreconditionViolated(
+            "augmentation shortcut needs a single input or a single output"
+        )
+    extra = tuple((j, i) for j in outputs for i in inputs if j != i)
+    return graphprops.strongly_connected_raw(n, tuple(edges) + extra)
+
+
 def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dict[str, bool]:
     """Classification bits of one labeled graph, its roles fixed at the labels
     1, 2 and 3; keys follow CELLS."""
@@ -318,9 +330,9 @@ def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dic
     sc = graphprops.strongly_connected_raw(n, edges)
     out["strongly_connected"] = sc
     if feas["sioc_in1_out2"]:
-        out["sioc_in1_out2"] = graphprops.sioc_via_augmentation(n, edges, (1,), (2,))
+        out["sioc_in1_out2"] = sioc_via_augmentation(n, edges, (1,), (2,))
     if feas["sioc_in13_out2"]:
-        out["sioc_in13_out2"] = graphprops.sioc_via_augmentation(n, edges, (1, 3), (2,))
+        out["sioc_in13_out2"] = sioc_via_augmentation(n, edges, (1, 3), (2,))
     # (cell, active?, cofactor positions, rank bound)
     configs = [
         ("expdim_in1_out1", feas["expdim_in1_out1"] and sc, ((1, 1),), m + 1),

@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing.pool
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
+import identkit.census as census_mod
 from identkit.census import (
     CELLS,
     automorphisms,
@@ -25,12 +27,12 @@ from identkit.census import (
     write_csv,
     write_sidecar,
 )
-from identkit.graphprops import sioc_via_augmentation
-from identkit.identcore import jacobian_rank
+from identkit.graphprops import strongly_connected_raw
+from identkit.identcore import jacobian_rank, jacobian_ranks
 from identkit.ioeq import coefficient_map
 from identkit.model import make_model
 
-from oracles import labeled_census
+from oracles import labeled_census, sioc_via_augmentation
 
 
 class TestEnumeration:
@@ -88,6 +90,43 @@ class TestIsomorphismClasses:
             hits = cell_members(n, m, cell, seed=42)
             assert tuple(idx for idx, _ in hits) == (exact[cell] or ()), cell
             assert all(edges == graphs[idx] for idx, edges in hits)
+
+
+class TestProvenAnswers:
+    """The census skips work whose answer is proven: the role predicates
+    come from one reachability closure, and a role tuple whose rows hold
+    fewer non-constant coefficients than its bound is never ranked."""
+
+    def test_closure_predicates_match_one_dfs_per_tuple(self):
+        for n in range(1, 5):
+            for m in range(n * (n - 1) + 1):
+                for edges in enumerate_graphs(n, m):
+                    reach, common = census_mod._reach(n, edges)
+                    assert (common == (1 << n) - 1) == strongly_connected_raw(n, edges), edges
+                    for a, b in permutations(range(1, n + 1), 2):
+                        expected = sioc_via_augmentation(n, edges, (a,), (b,))
+                        assert census_mod._sioc(reach, common, (a,), b) == expected, (edges, a, b)
+                    for a, b, c in permutations(range(1, n + 1), 3):
+                        expected = sioc_via_augmentation(n, edges, (a, c), (b,))
+                        assert census_mod._sioc(reach, common, (a, c), b) == expected, (edges, a, b, c)
+
+    def test_pruned_subsets_rank_below_their_bound(self, monkeypatch):
+        rows = [(n, m) for n in range(1, 5) for m in range(n * (n - 1) + 1)]
+        screened = [census_row(n, m, seed=3) for n, m in rows]
+        pruned = []
+        screen = census_mod._coefficient_short
+
+        def rank_anyway(polys, ids, bound):
+            if screen(polys, ids, bound):
+                pruned.append((polys, ids, bound))
+            return False
+
+        monkeypatch.setattr(census_mod, "_coefficient_short", rank_anyway)
+        assert [census_row(n, m, seed=3) for n, m in rows] == screened
+        assert len(pruned) > 100
+        for polys, ids, bound in pruned:
+            (rank,) = jacobian_ranks(polys, polys[0].table, random.Random(bound), 1, [(ids, bound)])
+            assert rank < bound
 
 
 class TestFeasibility:

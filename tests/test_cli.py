@@ -165,6 +165,16 @@ class TestIoeq:
         assert eq["output"] == 2 and eq["order"] == 4
         assert eq["lhs"][0] == "-a11 - a22 - a33 - a44"
 
+    def test_output_zero_is_not_ignored(self, capsys):
+        code, out = run(
+            capsys, "ioeq", "--model", fixture("cascade_exchange.json"),
+            "--output", "0", "--format", "json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "PreconditionViolated"
+        assert doc["message"] == "vertex 0 is not an output"
+
 
 @pytest.mark.parametrize("command", ["ioeq", "cyclespace"])
 def test_commands_without_random_points_take_no_seed(capsys, command):
@@ -448,6 +458,18 @@ class TestCensusCommand:
         assert code == 1
         doc = json.loads(out)
         assert doc["error"] == "ModelError" and "checkpoint" in doc["message"]
+
+    def test_empty_m_range_rejected(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        ck = tmp_path / "ck"
+        code, out = run(
+            capsys,
+            "census", "--n", "3", "--m", "5..3", "--checkpoint-dir", str(ck),
+            "--out", str(out_path), "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ModelError"
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_m_value(self, capsys, tmp_path):
         out_path = str(tmp_path / "one.csv")

@@ -19,7 +19,6 @@ from identkit.graphprops import (
     out_masks,
     output_reachable_set,
     satisfies_almost_isc,
-    sioc_via_augmentation,
 )
 from identkit.model import make_model
 
@@ -32,7 +31,12 @@ from conftest import (
     random_model,
     three_cycle,
 )
-from oracles import dense_reachability, exhaustive_isc, oracle_strongly_connected
+from oracles import (
+    dense_reachability,
+    exhaustive_isc,
+    oracle_strongly_connected,
+    sioc_via_augmentation,
+)
 
 
 class TestStronglyConnected:

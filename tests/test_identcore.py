@@ -7,7 +7,9 @@ import random
 import pytest
 import sympy
 
+import identkit.identcore as identcore
 from identkit.identcore import (
+    DEFAULT_TRIALS,
     PRIMES,
     HypothesesNotMet,
     classify_identifiability,
@@ -70,6 +72,39 @@ class TestJacobianRank:
         assert empty.polys == ()
         with pytest.raises(ModelError):
             jacobian_rank(empty, seed=0, trials=trials)
+
+
+class TestCertifiedBoundStopsTrials:
+    """A full-leak rank cannot exceed |E| + |In u Out|, so the trials end
+    once it is reached, with the rank that all the trials would give."""
+
+    def test_rank_at_its_bound_takes_one_trial(self, monkeypatch):
+        model = fan_in()
+        cmap = coefficient_map(model, MODE_DIAG)
+        bound = len(model.edges) + len(model.in_union_out)
+        assert bound < min(len(cmap.polys), len(cmap.param_order))
+        calls = []
+        real = identcore.jacobian_at
+        monkeypatch.setattr(identcore, "jacobian_at", lambda *args: calls.append(1) or real(*args))
+        for seed in range(5):
+            calls.clear()
+            report = classify_identifiability(model, seed=seed)
+            assert (report.jacobian_rank, len(calls)) == (bound, 1)
+            calls.clear()
+            assert expected_dimension_test(model, seed=seed).rank == bound
+            assert len(calls) == 1
+            calls.clear()
+            # the same stream, to the target min(#polys, #params)
+            assert jacobian_rank(cmap, seed=seed) == bound
+            assert len(calls) == DEFAULT_TRIALS
+
+    def test_rank_below_its_bound_runs_every_trial(self, monkeypatch):
+        calls = []
+        real = identcore.jacobian_at
+        monkeypatch.setattr(identcore, "jacobian_at", lambda *args: calls.append(1) or real(*args))
+        report = classify_identifiability(fan_in_bypass(), seed=0)
+        assert report.jacobian_rank < report.expected_dimension_bound
+        assert len(calls) == DEFAULT_TRIALS
 
 
 def planted_rows(rng: random.Random, nrows: int, ncols: int, draw, add) -> list:
