@@ -20,22 +20,32 @@ input-output distances.
 Every cell is a property of the graph and of which vertices play the roles
 1, 2 and 3, so the census classifies one graph per isomorphism class: the
 labeled graph whose edge mask (bit k for slot k of ``edge_slots(n)``) is the
-least in its S_n orbit.  Every other labeled graph is skipped once a
-relabeling gives a smaller mask.  For a representative G with automorphism
-group Aut(G), the ``strongly_connected`` cell adds n!/|Aut(G)| labeled
-graphs, and a cell with k roles adds (n-k)!/|Stab(t)| for each Aut-orbit of
-ordered role tuples t that is a member: that many labeled graphs are G with
-t relabeled to 1..k.  One reachability closure of G decides strong
-connectivity and the strong input-output connectivity of every role tuple.
-One expansion of G's characteristic matrix gives the cofactors of all its
-role tuples, and one call of the rank engine ranks them, save the tuples
-whose rows hold fewer non-constant coefficients than the tuple's bound:
-their rank is below the bound at every point, so they are proof-grade
-non-members and are never ranked.
+least in its S_n orbit.  The row's classes are generated, not filtered out
+of the labeled graphs: ``representatives`` builds them edge by edge by
+orderly generation, and maps each to its least image.  It relabels a mask by
+table lookups: per chunk of four edge slots and per 4-bit pattern, a tuple
+of the pattern's images under all n! permutations, built on first use.  For
+n=5 that is 5 chunks x 16 patterns x 120 images; for n=7 (``MAX_N``) at most
+11 x 16 x 5040, about 887k entries.
+
+For a representative G with automorphism group Aut(G), the
+``strongly_connected`` cell adds n!/|Aut(G)| labeled graphs, and a cell with
+k roles adds (n-k)!/|Stab(t)| for each Aut-orbit of ordered role tuples t
+that is a member: that many labeled graphs are G with t relabeled to 1..k.
+One reachability closure of G decides strong connectivity and the strong
+input-output connectivity of every role tuple.  One expansion of G's
+characteristic matrix gives the cofactors of all its role tuples, and one
+call of the rank engine ranks them, save the tuples whose rows hold fewer
+non-constant coefficients than the tuple's bound: their rank is below the
+bound at every point, so they are proof-grade non-members and are never
+ranked.
 
 Counting is deterministic for a fixed seed regardless of worker count: each
 class owns an RNG stream derived from (seed, n, m, index of its
-representative), and aggregation is plain addition.
+representative among the labeled graphs), and aggregation is plain
+addition.  A checkpoint block is a range of labeled indices and holds the
+classes whose representative lies in it; worker k of a block takes its
+classes k, k + jobs, ...
 """
 
 from __future__ import annotations
@@ -44,12 +54,13 @@ import csv
 import json
 import math
 import os
-from collections.abc import Sequence
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, permutations
 from multiprocessing import Pool
+from operator import or_
 
 from . import graphprops
 from .identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
@@ -58,7 +69,7 @@ from .sympoly import char_poly_coeffs
 
 CHECKPOINT_EVERY = 10_000
 CHECKPOINT_FORMAT = "orbit"  # counts of a block are summed over its class representatives
-MAX_N = 7  # every census graph is relabeled by up to all n! permutations
+MAX_N = 7  # every generated graph is relabeled by all n! permutations
 
 CELLS = (
     "strongly_connected",
@@ -102,13 +113,13 @@ def total_graphs(n: int, m: int) -> int:
     return math.comb(n * (n - 1), m)
 
 
-def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None, step: int = 1):
+def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None):
     """Edge sets of all labeled digraphs (n, m) in lexicographic slot order;
-    optionally only the ranks in range(start, stop, step)."""
+    optionally only the ranks in range(start, stop)."""
     if not 0 <= m <= n * (n - 1):
         raise ValueError(f"m={m} outside 0..{n*(n-1)}")
     gen = combinations(edge_slots(n), m)
-    return islice(gen, start, stop, step)
+    return islice(gen, start, stop)
 
 
 def row_feasibility(n: int, m: int) -> dict[str, bool]:
@@ -130,35 +141,78 @@ def row_feasibility(n: int, m: int) -> dict[str, bool]:
 
 
 @lru_cache(maxsize=None)
-def _relabelings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Every permutation p of 1..n (as a tuple with p[0] = 0) with, per edge
-    slot k, the edge-mask bit of the slot that p moves slot k to."""
+def _permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every permutation p of 1..n as a tuple with p[0] = 0, in lexicographic order."""
+    return tuple((0,) + images for images in permutations(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _image_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per chunk c of four edge slots (4c..4c+3) and per 4-bit pattern q, the
+    edge masks of the graph ``q << 4c`` under every permutation of
+    ``_permutations(n)``, in that order."""
     slots = edge_slots(n)
     slot_of = {e: k for k, e in enumerate(slots)}
-    out = []
-    for images in permutations(range(1, n + 1)):
-        p = (0,) + images
-        out.append((p, tuple(1 << slot_of[p[i], p[j]] for i, j in slots)))
-    return tuple(out)
+    perms = _permutations(n)
+    moved = [tuple(1 << slot_of[p[i], p[j]] for p in perms) for i, j in slots]
+    tables = []
+    for c in range(0, len(slots), 4):
+        table = [(0,) * len(perms)]
+        for q in range(1, 1 << min(4, len(slots) - c)):
+            low = (q & -q).bit_length() - 1
+            table.append(tuple(map(or_, table[q & (q - 1)], moved[c + low])))
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def automorphisms(n: int, slot_ids: Sequence[int]) -> list[tuple[int, ...]] | None:
-    """Aut(G) of the graph G with edges in the slots ``slot_ids`` when G's
-    edge mask (bit k for slot k of ``edge_slots(n)``) is the least of its
-    S_n orbit; None otherwise, usually after a few permutations."""
-    mask = sum(1 << k for k in slot_ids)
-    aut = []
-    for p, bits in _relabelings(n):
-        image = sum([bits[k] for k in slot_ids])
-        if image < mask:
-            return None
-        if image == mask:
-            aut.append(p)
-    return aut
+def _images(n: int, mask: int):
+    """The edge masks of the graph ``mask`` under every permutation of
+    ``_permutations(n)``, in that order, as an iterable."""
+    images = None
+    for c, table in enumerate(_image_tables(n)):
+        pattern = mask >> 4 * c & 15
+        if pattern:
+            images = table[pattern] if images is None else map(or_, images, table[pattern])
+    return (0,) * len(_permutations(n)) if images is None else images
+
+
+def representatives(n: int, m: int) -> list[tuple[int, tuple, list[tuple[int, ...]]]]:
+    """(index, edges, Aut) of one labeled graph per isomorphism class at
+    (n, m), in index order: the graph whose edge mask is the least of its
+    S_n orbit, its index among ``enumerate_graphs(n, m)``, and its
+    automorphisms in the order of ``_permutations(n)``, the identity first.
+
+    The classes are built by orderly generation (R. C. Read, "Every one a
+    winner", 1978).  A graph is canonical when its mask is the largest of
+    its orbit.  Removing the lowest set slot of a canonical graph leaves a
+    canonical graph, so the canonical graphs with m edges are the graphs
+    H + slot k, for a canonical H with m - 1 edges and k below H's lowest
+    set slot, that no relabeling makes larger; each arises from one H.
+    """
+    slots = edge_slots(n)
+    level = [0]
+    for _ in range(m):
+        children = []
+        for h in level:
+            for k in range((h & -h).bit_length() - 1 if h else len(slots)):
+                child = h | 1 << k
+                if max(_images(n, child)) == child:
+                    children.append(child)
+        level = children
+    classes = []
+    for canonical in level:
+        least = min(_images(n, canonical))
+        ids = [k for k in range(len(slots)) if least >> k & 1]
+        aut = [p for p, image in zip(_permutations(n), _images(n, least)) if image == least]
+        classes.append((_graph_index(ids, len(slots)), tuple(slots[k] for k in ids), aut))
+    classes.sort()  # by index, which is unique
+    return classes
 
 
 def _tuple_orbits(n: int, k: int, aut) -> dict[tuple[int, ...], int]:
     """Aut-orbits of ordered k-tuples of distinct vertices: least tuple -> orbit size."""
+    if len(aut) == 1:  # only the identity: every tuple is an orbit of its own
+        return dict.fromkeys(permutations(range(1, n + 1), k), 1)
     seen: set[tuple[int, ...]] = set()
     orbits = {}
     for t in permutations(range(1, n + 1), k):  # lexicographic, so t is the least of its orbit
@@ -282,30 +336,25 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
     return held
 
 
-def _classes(n: int, m: int, seed: int, trials: int, indices: range, cells=CELLS):
-    """(graph index, edges, Aut, member orbits per cell) for each graph with
-    its index in ``indices`` that is the least of its isomorphism class; each
-    class's RNG stream is keyed by (seed, n, m, index) of that graph.  Only
-    the ``cells`` are evaluated; the others are left empty."""
+def _classes(n: int, m: int, seed: int, trials: int, classes, cells=CELLS):
+    """(graph index, edges, Aut, member orbits per cell) for each of the
+    ``classes``, given as ``representatives`` gives them; each class's RNG
+    stream is keyed by (seed, n, m, index of its representative).  Only the
+    ``cells`` are evaluated; the others are left empty."""
     feas = {name: ok and name in cells for name, ok in row_feasibility(n, m).items()}
-    slot_of = {e: k for k, e in enumerate(edge_slots(n))}
-    graphs = enumerate_graphs(n, m, indices.start, indices.stop, indices.step)
-    for idx, edges in zip(indices, graphs):
-        aut = automorphisms(n, [slot_of[e] for e in edges])
-        if aut is None:
-            continue
+    for idx, edges, aut in classes:
         rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
         yield idx, edges, aut, _evaluate_class(n, edges, aut, rng, feas, trials)
 
 
 def _eval_chunk(args) -> list[int]:
-    """Cell counts of the labeled graphs isomorphic to the class
-    representatives among the indices of ``args``: a class adds, per member
-    orbit of role k-tuples with stabiliser size s, (n - k)!/s labeled graphs,
-    where s = |Aut| / orbit size."""
-    n, m, indices, seed, trials = args
+    """Cell counts of the labeled graphs isomorphic to the ``classes`` of
+    ``args``: a class adds, per member orbit of role k-tuples with
+    stabiliser size s, (n - k)!/s labeled graphs, where s = |Aut| / orbit
+    size."""
+    n, m, classes, seed, trials = args
     counts = [0] * len(CELLS)
-    for _, _, aut, held in _classes(n, m, seed, trials, indices):
+    for _, _, aut, held in _classes(n, m, seed, trials, classes):
         for pos, name in enumerate(CELLS):
             for t, size in held[name].items():
                 counts[pos] += math.factorial(n - len(t)) * size // len(aut)
@@ -377,16 +426,16 @@ def census_row(
     if checkpoint_path and os.path.exists(checkpoint_path):
         counts, next_index = _read_checkpoint(checkpoint_path, key, total) or (counts, next_index)
 
-    # worker k of a block takes its indices = k (mod jobs): class representatives
-    # cluster at low indices, so contiguous chunks would load one worker
+    classes = representatives(n, m)
+    indices = [idx for idx, _, _ in classes]
+    # worker k of a block takes its classes k, k + jobs, ...: as many classes
+    # as any other worker, drawn from every part of the block
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
         while next_index < total:
             stop = min(next_index + CHECKPOINT_EVERY, total)
-            tasks = [
-                (n, m, range(s, stop, jobs), seed, trials)
-                for s in range(next_index, min(next_index + jobs, stop))
-            ]
+            block = classes[bisect_left(indices, next_index) : bisect_left(indices, stop)]
+            tasks = [(n, m, block[k::jobs], seed, trials) for k in range(min(jobs, len(block)))]
             for part in mapper(_eval_chunk, tasks):
                 counts = [a + b for a, b in zip(counts, part)]
             next_index = stop
@@ -473,6 +522,12 @@ def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT
     whose role tuple (1..k) is p^-1(1..k) in G; p(G) is a member when that
     tuple lies in a member orbit of G.
     """
+    return sorted(_members_by_seed(n, m, cell, (seed,), trials)[seed].items())
+
+
+def _members_by_seed(n: int, m: int, cell: str, seeds, trials: int) -> dict:
+    """Per seed, the members of ``cell`` as {labeled index: edges}, from one
+    generation of the row's classes."""
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
     _check_row(n, m, trials)
@@ -480,19 +535,23 @@ def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT
     slot_of = {e: k for k, e in enumerate(slots)}
     # an expdim cell with an output 2 ranks only the tuples of its sioc cell
     cells = (cell, {"expdim_in1_out2": "sioc_in1_out2", "expdim_in13_out2": "sioc_in13_out2"}.get(cell))
-    members = {}
-    for _, edges, aut, held in _classes(n, m, seed, trials, range(total_graphs(n, m)), cells):
-        if not held[cell]:
-            continue
-        k = len(next(iter(held[cell])))
-        tuples = {tuple(p[v] for v in t) for t in held[cell] for p in aut}
-        for p, _ in _relabelings(n):
-            inverse = sorted(range(n + 1), key=p.__getitem__)
-            if tuple(inverse[1 : k + 1]) in tuples:
-                image = tuple(sorted((p[i], p[j]) for i, j in edges))
-                idx = _graph_index([slot_of[e] for e in image], len(slots))
-                members[idx] = image
-    return sorted(members.items())
+    classes = representatives(n, m)
+    by_seed = {}
+    for seed in seeds:
+        members = {}
+        for _, edges, aut, held in _classes(n, m, seed, trials, classes, cells):
+            if not held[cell]:
+                continue
+            k = len(next(iter(held[cell])))
+            tuples = {tuple(p[v] for v in t) for t in held[cell] for p in aut}
+            for p in _permutations(n):
+                inverse = sorted(range(n + 1), key=p.__getitem__)
+                if tuple(inverse[1 : k + 1]) in tuples:
+                    image = tuple(sorted((p[i], p[j]) for i, j in edges))
+                    idx = _graph_index([slot_of[e] for e in image], len(slots))
+                    members[idx] = image
+        by_seed[seed] = members
+    return by_seed
 
 
 def discrepancy_report(
@@ -510,9 +569,7 @@ def discrepancy_report(
     graphs with their per-seed membership, so a stable disagreement can be
     distinguished from a random-evaluation artifact.
     """
-    per_seed_members = {}
-    for s in seeds:
-        per_seed_members[s] = {idx: edges for idx, edges in cell_members(n, m, cell, seed=s, trials=trials)}
+    per_seed_members = _members_by_seed(n, m, cell, seeds, trials)
     counts = {s: len(v) for s, v in per_seed_members.items()}
     union = sorted(set().union(*per_seed_members.values()))
     unstable = [

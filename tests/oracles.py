@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from identkit import graphprops
-from identkit.census import CELLS, enumerate_graphs, row_feasibility
+from identkit.census import CELLS, edge_slots, enumerate_graphs, row_feasibility
 from identkit.identcore import derived_rng, jacobian_ranks
 from identkit.model import CompartmentalModel, Param, compartmental_matrix, make_model
 from identkit.sympoly import SparsePoly, VarTable, char_poly_coeffs
@@ -357,6 +357,46 @@ def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dic
     for (name, _, _, bound), rank in zip(active, ranks):
         assert rank <= bound, (name, rank, bound, edges)
         out[name] = rank == bound
+    return out
+
+
+@lru_cache(maxsize=None)
+def _relabelings(n: int):
+    """Every permutation p of 1..n (as a tuple with p[0] = 0) with, per edge
+    slot k, the edge-mask bit of the slot that p moves slot k to."""
+    slots = edge_slots(n)
+    slot_of = {e: k for k, e in enumerate(slots)}
+    out = []
+    for images in permutations(range(1, n + 1)):
+        p = (0,) + images
+        out.append((p, tuple(1 << slot_of[p[i], p[j]] for i, j in slots)))
+    return tuple(out)
+
+
+def automorphisms(n: int, slot_ids):
+    """Aut(G) of the graph G with edges in the slots ``slot_ids`` when G's
+    edge mask (bit k for slot k of ``edge_slots(n)``) is the least of its
+    S_n orbit; None otherwise, usually after a few permutations."""
+    mask = sum(1 << k for k in slot_ids)
+    aut = []
+    for p, bits in _relabelings(n):
+        image = sum([bits[k] for k in slot_ids])
+        if image < mask:
+            return None
+        if image == mask:
+            aut.append(p)
+    return aut
+
+
+def labeled_representatives(n: int, m: int):
+    """(index, edges, Aut) of every labeled graph at (n, m) that is the least
+    of its isomorphism class, found by testing each labeled graph in turn."""
+    slot_of = {e: k for k, e in enumerate(edge_slots(n))}
+    out = []
+    for idx, edges in enumerate(enumerate_graphs(n, m)):
+        aut = automorphisms(n, [slot_of[e] for e in edges])
+        if aut is not None:
+            out.append((idx, edges, aut))
     return out
 
 

@@ -11,17 +11,19 @@ import json
 import math
 import multiprocessing.pool
 import random
-from itertools import combinations, permutations
+import shutil
+from itertools import permutations
 
 import pytest
 
 import identkit.census as census_mod
 from identkit.census import (
     CELLS,
-    automorphisms,
     census_row,
     cell_members,
+    discrepancy_report,
     enumerate_graphs,
+    representatives,
     row_feasibility,
     total_graphs,
     write_csv,
@@ -32,7 +34,7 @@ from identkit.identcore import jacobian_rank, jacobian_ranks
 from identkit.ioeq import coefficient_map
 from identkit.model import make_model
 
-from oracles import labeled_census, sioc_via_augmentation
+from oracles import labeled_census, labeled_representatives, sioc_via_augmentation
 
 
 class TestEnumeration:
@@ -59,18 +61,18 @@ class TestEnumeration:
         assert list(enumerate_graphs(4, 3, start=10, stop=20)) == full[10:20]
 
 
-def _representatives(n, m):
-    """Automorphism groups of the orbit-least graphs of the row (n, m)."""
-    graphs = combinations(range(n * (n - 1)), m)
-    return [aut for ids in graphs if (aut := automorphisms(n, ids)) is not None]
+SMALL_ROWS = [(n, m) for n in range(1, 5) for m in range(n * (n - 1) + 1)]
+
+
+def _auts(n, m):
+    """Automorphism groups of the class representatives of the row (n, m)."""
+    return [aut for _, _, aut in representatives(n, m)]
 
 
 class TestIsomorphismClasses:
-    @pytest.mark.parametrize(
-        "n,m", [(n, m) for n in range(1, 5) for m in range(n * (n - 1) + 1)] + [(5, 5), (5, 6)]
-    )
+    @pytest.mark.parametrize("n,m", SMALL_ROWS + [(5, 5), (5, 6)])
     def test_orbit_weights_cover_every_labeled_graph(self, n, m):
-        auts = _representatives(n, m)
+        auts = _auts(n, m)
         assert all(aut[0] == tuple(range(n + 1)) for aut in auts)  # the identity
         assert sum(math.factorial(n) // len(aut) for aut in auts) == total_graphs(n, m)
 
@@ -78,9 +80,27 @@ class TestIsomorphismClasses:
         """Unlabeled digraphs: 1, 3, 16, 218 on 1..4 vertices (OEIS A000273),
         and 154 and 379 on 5 vertices with 5 and 6 edges."""
         for n, classes in [(1, 1), (2, 3), (3, 16), (4, 218)]:
-            assert sum(len(_representatives(n, m)) for m in range(n * (n - 1) + 1)) == classes
-        assert len(_representatives(5, 5)) == 154
-        assert len(_representatives(5, 6)) == 379
+            assert sum(len(_auts(n, m)) for m in range(n * (n - 1) + 1)) == classes
+        assert len(_auts(5, 5)) == 154
+        assert len(_auts(5, 6)) == 379
+
+    @pytest.mark.parametrize("n,m", SMALL_ROWS + [(5, 5), (5, 6), (5, 7), (6, 2), (6, 3)])
+    def test_generated_classes_match_labeled_walk(self, n, m):
+        """Orderly generation yields the graphs that the orbit-minimum test
+        keeps among all labeled graphs: same indices, edges and Aut."""
+        assert representatives(n, m) == labeled_representatives(n, m)
+
+    @pytest.mark.parametrize("n,m", SMALL_ROWS + [(5, 5), (5, 6)])
+    def test_tuple_orbits_of_every_class(self, n, m):
+        """Both paths of ``_tuple_orbits`` (Aut = {id} and larger groups)
+        give the Aut-orbits of ordered role tuples found by brute force."""
+        for _, _, aut in representatives(n, m):
+            for k in range(1, min(n, 3) + 1):
+                orbits = {}
+                for t in permutations(range(1, n + 1), k):
+                    orbit = frozenset(tuple(p[v] for v in t) for p in aut)
+                    orbits[min(orbit)] = len(orbit)
+                assert census_mod._tuple_orbits(n, k, aut) == orbits
 
     @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (3, 4), (4, 4), (4, 5)])
     def test_cell_members_match_labeled_oracle(self, n, m):
@@ -200,7 +220,7 @@ class TestCheckpointing(object):
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
         full = census_row(3, 3, seed=5)
         # simulate an interrupted run: process only the first block
-        partial_counts = census_mod._eval_chunk((3, 3, range(0, 7), 5, 3))
+        partial_counts = census_mod._eval_chunk((3, 3, [c for c in representatives(3, 3) if c[0] < 7], 5, 3))
         with open(path, "w") as fh:
             json.dump(
                 {
@@ -213,6 +233,26 @@ class TestCheckpointing(object):
         assert resumed == full
         state = json.load(open(path))
         assert state["next_index"] == total_graphs(3, 3)
+
+    def test_resume_5_6_cut_at_first_block(self, tmp_path):
+        """A (5,6) run interrupted after its first checkpoint (index 10,000)
+        resumes to the uninterrupted row at one and two jobs."""
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(n, m, done, total):
+            raise Interrupted(done)
+
+        cut = str(tmp_path / "cut.json")
+        with pytest.raises(Interrupted):
+            census_row(5, 6, seed=4, jobs=2, checkpoint_path=cut, progress=interrupt)
+        assert json.load(open(cut))["next_index"] == census_mod.CHECKPOINT_EVERY == 10_000
+        full = census_row(5, 6, seed=4, jobs=2)
+        for jobs in (1, 2):
+            path = str(tmp_path / f"resume_{jobs}.json")
+            shutil.copy(cut, path)
+            assert census_row(5, 6, seed=4, jobs=jobs, checkpoint_path=path) == full
 
     def test_one_pool_serves_every_block(self, tmp_path, monkeypatch):
         import identkit.census as census_mod
@@ -278,6 +318,18 @@ class TestOutputs:
         doc = json.load(open(meta))
         assert doc["seed"] == 0 and len(doc["rows"]) == 2
         assert doc["rows"][0]["strongly_connected"] is None
+
+    def test_discrepancy_report_generates_the_classes_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return representatives(n, m)
+
+        monkeypatch.setattr(census_mod, "representatives", counted)
+        report = discrepancy_report(4, 5, "expdim_in1_out1", 54, seeds=(0, 1, 2))
+        assert calls == [(4, 5)]
+        assert report["counts_by_seed"] == {"0": 66, "1": 66, "2": 66}
 
     def test_cell_members_listing(self):
         hits = cell_members(3, 2, "sioc_in1_out2", seed=0)
