@@ -42,6 +42,6 @@ from .transforms import (
     remove_leaks,
     run_construction,
 )
-from .census import CensusRow, census_row, census_table, enumerate_graphs
+from .census import CensusRow, census_row, census_table
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -58,7 +58,7 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import permutations
 from multiprocessing import Pool
 from operator import or_
 
@@ -111,15 +111,6 @@ def edge_slots(n: int) -> list[tuple[int, int]]:
 
 def total_graphs(n: int, m: int) -> int:
     return math.comb(n * (n - 1), m)
-
-
-def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None):
-    """Edge sets of all labeled digraphs (n, m) in lexicographic slot order;
-    optionally only the ranks in range(start, stop)."""
-    if not 0 <= m <= n * (n - 1):
-        raise ValueError(f"m={m} outside 0..{n*(n-1)}")
-    gen = combinations(edge_slots(n), m)
-    return islice(gen, start, stop)
 
 
 def row_feasibility(n: int, m: int) -> dict[str, bool]:
@@ -179,8 +170,10 @@ def _images(n: int, mask: int):
 def representatives(n: int, m: int) -> list[tuple[int, tuple, list[tuple[int, ...]]]]:
     """(index, edges, Aut) of one labeled graph per isomorphism class at
     (n, m), in index order: the graph whose edge mask is the least of its
-    S_n orbit, its index among ``enumerate_graphs(n, m)``, and its
-    automorphisms in the order of ``_permutations(n)``, the identity first.
+    S_n orbit, its labeled index, and its automorphisms in the order of
+    ``_permutations(n)``, the identity first.  The labeled index of a graph
+    is the lexicographic rank of its sorted slot positions among all m-sets
+    of the n(n-1) slots of ``edge_slots(n)``, as ``_graph_index`` computes it.
 
     The classes are built by orderly generation (R. C. Read, "Every one a
     winner", 1978).  A graph is canonical when its mask is the largest of
@@ -238,11 +231,11 @@ def _reach(n: int, edges) -> tuple[list[int], int]:
 
 def _sioc(reach: list[int], common: int, inputs, output: int) -> bool:
     """Is the graph strongly input-output connected for ``inputs`` and the
-    single ``output``, i.e. strongly connected once the edges output -> input
-    are added?  The added edges leave the output, so every vertex reaches the
-    output in the augmented graph exactly when it does in the graph: the
-    output lies in ``common``.  The output then reaches what the inputs
-    reach, and each input reaches all that the output reaches."""
+    single ``output``?  This is the characterization that
+    ``graphprops.is_strongly_input_output_connected`` decides, in its
+    single-output form: every vertex reaches the output (it lies in
+    ``common``), and the inputs reach every vertex.  Weak connectivity then
+    follows, and a role tuple needs no reachability sweep of its own."""
     if not common >> (output - 1) & 1:
         return False
     acc = 0
@@ -364,7 +357,9 @@ def _eval_chunk(args) -> list[int]:
 # -- row and table drivers ------------------------------------------------
 
 
-def _check_row(n: int, m: int, trials: int, jobs: int = 1) -> None:
+def check_row(n: int, m: int, trials: int, jobs: int = 1) -> None:
+    """ModelError unless n is in 1..MAX_N, m in 0..n(n-1), and trials and
+    jobs are at least 1."""
     if not 1 <= n <= MAX_N:
         raise ModelError(f"n={n} outside 1..{MAX_N}")
     if not 0 <= m <= n * (n - 1):
@@ -416,7 +411,7 @@ def census_row(
     graph indices and an interrupted run resumes from the last flush (the
     file must match the format, n, m, seed and trials).
     """
-    _check_row(n, m, trials, jobs)
+    check_row(n, m, trials, jobs)
     total = total_graphs(n, m)
     feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
@@ -466,7 +461,7 @@ def census_table(
     if not m_values:
         raise ModelError(f"no edge counts to census for n={n}")
     for m in m_values:
-        _check_row(n, m, trials, jobs)  # before any checkpoint directory is made
+        check_row(n, m, trials, jobs)  # before any checkpoint directory is made
     rows = []
     for m in m_values:
         path = None
@@ -530,7 +525,7 @@ def _members_by_seed(n: int, m: int, cell: str, seeds, trials: int) -> dict:
     generation of the row's classes."""
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
-    _check_row(n, m, trials)
+    check_row(n, m, trials)
     slots = edge_slots(n)
     slot_of = {e: k for k, e in enumerate(slots)}
     # an expdim cell with an output 2 ranks only the tuples of its sioc cell

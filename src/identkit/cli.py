@@ -57,13 +57,16 @@ def _parse_int_list(text: str) -> list[int]:
         raise ModelError(f"bad integer list {text!r}; expected a comma list like '1,2'") from None
 
 
-def _parse_m_range(text: str) -> list[int]:
+def _parse_m_range(text: str, n: int, trials: int) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            return list(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise ModelError(f"bad --m range {text!r}; expected 'lo..hi'") from None
+        for m in (lo, hi):  # before the list is built, so a huge bound allocates nothing
+            census.check_row(n, m, trials)
+        return list(range(lo, hi + 1))
     return _parse_int_list(text)
 
 
@@ -178,9 +181,7 @@ def _cmd_transform(args) -> int:
         if len(path) != 3:
             raise ModelError(f"--attach-path needs three integers k,l,s, got {args.attach_path!r}")
         k, l, s = path
-        new_model, cert = transforms.attach_path(
-            model, k, l, s, seed=args.seed, trials=args.trials, certify=True
-        )
+        new_model, cert = transforms.attach_path(model, k, l, s, seed=args.seed, trials=args.trials)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(new_model.to_json() + "\n")
@@ -220,7 +221,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    m_values = _parse_m_range(args.m)
+    m_values = _parse_m_range(args.m, args.n, args.trials)
     started = time.time()
 
     def progress(n, m, done, total):

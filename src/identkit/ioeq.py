@@ -47,12 +47,6 @@ class IOEquation:
     rhs: tuple[tuple[int, tuple[SparsePoly, ...]], ...]  # (input, coeffs), inputs ascending
     table: VarTable
 
-    def rhs_for(self, i: int) -> tuple[SparsePoly, ...]:
-        for inp, coeffs in self.rhs:
-            if inp == i:
-                return coeffs
-        raise KeyError(f"input {i} not present in the equation")
-
 
 @dataclass(frozen=True)
 class CoefficientMap:

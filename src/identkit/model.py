@@ -129,9 +129,6 @@ class CompartmentalModel:
     def with_leaks(self, leaks: Iterable[int]) -> "CompartmentalModel":
         return validate(CompartmentalModel(self.n, self.edges, self.inputs, self.outputs, frozenset(leaks)))
 
-    def full_leak_version(self) -> "CompartmentalModel":
-        return self.with_leaks(self.vertices)
-
     # -- parameters -----------------------------------------------------
 
     def edge_params(self) -> list[Param]:
@@ -229,7 +226,20 @@ def make_model(
 _MODEL_KEYS = {"n", "edges", "in", "out", "leak"}
 
 
+def is_int_list(value, length: int | None = None) -> bool:
+    """Is ``value`` a JSON list of integers, of ``length`` entries when given?
+    Nothing is converted: booleans, floats and strings are not integers."""
+    return (
+        type(value) is list
+        and (length is None or len(value) == length)
+        and all(type(v) is int for v in value)
+    )
+
+
 def from_dict(doc: dict) -> CompartmentalModel:
+    """The model a JSON document describes.  BadModelFile unless ``n`` is an
+    integer and ``edges``, ``in``, ``out`` and ``leak`` are lists of integers
+    (edges as pairs); no value is converted."""
     if not isinstance(doc, dict):
         raise BadModelFile("model document must be a JSON object")
     unknown = set(doc) - _MODEL_KEYS
@@ -238,19 +248,15 @@ def from_dict(doc: dict) -> CompartmentalModel:
     missing = {"n", "edges", "in", "out"} - set(doc)
     if missing:
         raise BadModelFile(f"missing keys in model document: {sorted(missing)}")
-    try:
-        edges = tuple((int(s), int(d)) for s, d in doc["edges"])
-        return make_model(
-            n=int(doc["n"]),
-            edges=edges,
-            inputs=(int(v) for v in doc["in"]),
-            outputs=(int(v) for v in doc["out"]),
-            leaks=(int(v) for v in doc.get("leak", [])),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ModelError):
-            raise
-        raise BadModelFile(f"malformed model document: {exc}") from exc
+    n, edges = doc["n"], doc["edges"]
+    if type(n) is not int:
+        raise BadModelFile(f"n must be an integer, got {n!r}")
+    if type(edges) is not list or not all(is_int_list(e, 2) for e in edges):
+        raise BadModelFile("edges must be a list of [src, dst] integer pairs")
+    for key in ("in", "out", "leak"):
+        if not is_int_list(doc.get(key, [])):
+            raise BadModelFile(f"{key} must be a list of integers")
+    return make_model(n, [tuple(e) for e in edges], doc["in"], doc["out"], doc.get("leak", []))
 
 
 def from_json(text: str) -> CompartmentalModel:

@@ -197,14 +197,6 @@ class SparsePoly:
 
     # -- D handling -----------------------------------------------------
 
-    def d_coefficient(self, power: int) -> "SparsePoly":
-        """The coefficient of ``D**power`` as a D-free polynomial."""
-        shift = len(self.table.params) * SLOT_BITS
-        low = (1 << shift) - 1
-        return SparsePoly._of(
-            self.table, {e & low: c for e, c in self.packed.items() if e >> shift == power}
-        )
-
     def d_coefficients(self, top: int) -> list["SparsePoly"]:
         """The coefficients of ``D**top, ..., D**0`` as D-free polynomials,
         split off in one pass; a power of D above ``top`` raises IndexError."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import graphprops, identcore
 from .identcore import HypothesesNotMet
-from .model import CompartmentalModel, ModelError, make_model
+from .model import CompartmentalModel, ModelError, is_int_list, make_model
 
 
 class KeepNotSubsetOfLeak(ModelError):
@@ -122,15 +122,15 @@ def attach_path(
     s: int,
     seed: int = 0,
     trials: int = identcore.DEFAULT_TRIALS,
-    certify: bool = False,
 ) -> tuple[CompartmentalModel, TheoremCertificate | None]:
     """Append a directed path of s new leaking vertices from anchor k back
     to anchor l: edges k -> n+1 -> ... -> n+s -> l.
 
     New vertices are numbered n+1..n+s in path order, so constructions are
-    byte-for-byte reproducible.  With ``certify`` set, checks the
-    single-compartment input/output, strongly connected, full-leak context in
-    which the attachment provably preserves expected dimension.
+    byte-for-byte reproducible.  When the source model has one compartment
+    as both input and output, is strongly connected, leaks everywhere and
+    reaches expected dimension, the attachment provably preserves expected
+    dimension, and this is recorded as a certificate.
     """
     if s < 1:
         raise ModelError(f"path length s must be >= 1, got {s}")
@@ -150,28 +150,27 @@ def attach_path(
         set(model.leaks) | set(new_vertices),
     )
     cert = None
-    if certify:
-        cycle_context = (
-            model.inputs == model.outputs
-            and len(model.inputs) == 1
-            and model.leaks == frozenset(model.vertices)
-            and graphprops.is_strongly_connected(model)
-        )
-        if cycle_context:
-            before = identcore.expected_dimension_test(model, seed, trials)
-            if before.equals_bound:
-                cert = TheoremCertificate(
-                    claim=(
-                        f"path attachment preserves expected dimension: "
-                        f"{len(new_model.edges)}+1 after adding {s} vertices"
-                    ),
-                    hypotheses=(
-                        ("single identical input/output", "yes"),
-                        ("strongly connected", "yes"),
-                        ("full leak set", "yes"),
-                        ("rank before attachment", f"{before.rank} == {before.bound}"),
-                    ),
-                )
+    cycle_context = (
+        model.inputs == model.outputs
+        and len(model.inputs) == 1
+        and model.leaks == frozenset(model.vertices)
+        and graphprops.is_strongly_connected(model)
+    )
+    if cycle_context:
+        before = identcore.expected_dimension_test(model, seed, trials)
+        if before.equals_bound:
+            cert = TheoremCertificate(
+                claim=(
+                    f"path attachment preserves expected dimension: "
+                    f"{len(new_model.edges)}+1 after adding {s} vertices"
+                ),
+                hypotheses=(
+                    ("single identical input/output", "yes"),
+                    ("strongly connected", "yes"),
+                    ("full leak set", "yes"),
+                    ("rank before attachment", f"{before.rank} == {before.bound}"),
+                ),
+            )
     return new_model, cert
 
 
@@ -190,11 +189,12 @@ class ConstructionScript:
     def from_dict(doc: dict) -> "ConstructionScript":
         if not isinstance(doc, dict) or set(doc) != {"steps", "final_leak"}:
             raise ModelError("construction script must be a JSON object with keys steps and final_leak")
-        try:
-            steps = tuple((int(k), int(l), int(s)) for k, l, s in doc["steps"])
-            return ConstructionScript(steps=steps, final_leak=int(doc["final_leak"]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"malformed construction script: {exc}") from exc
+        steps, final_leak = doc["steps"], doc["final_leak"]
+        if type(steps) is not list or not all(is_int_list(step, 3) for step in steps):
+            raise ModelError("steps must be a list of [k, l, s] integer triples")
+        if type(final_leak) is not int:
+            raise ModelError(f"final_leak must be an integer, got {final_leak!r}")
+        return ConstructionScript(steps=tuple(tuple(step) for step in steps), final_leak=final_leak)
 
     @staticmethod
     def from_json(text: str) -> "ConstructionScript":
@@ -216,7 +216,7 @@ def run_construction(
     model = make_model(1, (), {1}, {1}, {1})
     certs: list[TheoremCertificate] = []
     for step_no, (k, l, s) in enumerate(script.steps, start=1):
-        model, cert = attach_path(model, k, l, s, seed=seed, trials=trials, certify=True)
+        model, cert = attach_path(model, k, l, s, seed=seed, trials=trials)
         if cert is None:
             raise HypothesesNotMet(f"step {step_no} left the construction context")
         certs.append(cert)

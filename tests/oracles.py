@@ -11,14 +11,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from identkit import graphprops
-from identkit.census import CELLS, edge_slots, enumerate_graphs, row_feasibility
+from identkit.census import CELLS, edge_slots, row_feasibility
 from identkit.identcore import derived_rng, jacobian_ranks
 from identkit.model import CompartmentalModel, Param, compartmental_matrix, make_model
 from identkit.sympoly import SparsePoly, VarTable, char_poly_coeffs
@@ -143,6 +143,26 @@ def all_io_paths_brute(model: CompartmentalModel) -> set[tuple[tuple[int, int], 
             if i != j:
                 walk(i, j, {i}, [])
     return out
+
+
+def sioc_by_definition(model: CompartmentalModel) -> bool:
+    """Strong input-output connectivity as defined: the graph is connected,
+    and every edge lies on a simple directed cycle or on a simple directed
+    path from an input to an output.  Connectivity comes from a dense
+    closure of the symmetrized edges, the cycles and paths from exhaustive
+    enumeration."""
+    undirected = CompartmentalModel(
+        model.n,
+        tuple(set(model.edges) | {(d, s) for s, d in model.edges}),
+        model.inputs,
+        model.outputs,
+        model.leaks,
+    )
+    reach = dense_reachability(undirected)
+    if reach[1] | {1} != set(model.vertices):
+        return False
+    covered = set().union(*all_simple_cycles_brute(model), *map(set, all_io_paths_brute(model)))
+    return covered == set(model.edges)
 
 
 def shortest_path_monomials(model: CompartmentalModel, i: int, j: int, table: VarTable) -> SparsePoly:
@@ -320,6 +340,15 @@ def sioc_via_augmentation(n: int, edges, inputs, outputs) -> bool:
         )
     extra = tuple((j, i) for j in outputs for i in inputs if j != i)
     return graphprops.strongly_connected_raw(n, tuple(edges) + extra)
+
+
+def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None):
+    """Edge sets of all labeled digraphs (n, m) in lexicographic slot order,
+    so that a graph's position is its labeled index; optionally only the
+    positions in range(start, stop)."""
+    if not 0 <= m <= n * (n - 1):
+        raise ValueError(f"m={m} outside 0..{n * (n - 1)}")
+    return islice(combinations(edge_slots(n), m), start, stop)
 
 
 def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dict[str, bool]:

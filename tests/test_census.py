@@ -22,7 +22,6 @@ from identkit.census import (
     census_row,
     cell_members,
     discrepancy_report,
-    enumerate_graphs,
     representatives,
     row_feasibility,
     total_graphs,
@@ -34,7 +33,7 @@ from identkit.identcore import jacobian_rank, jacobian_ranks
 from identkit.ioeq import coefficient_map
 from identkit.model import make_model
 
-from oracles import labeled_census, labeled_representatives, sioc_via_augmentation
+from oracles import enumerate_graphs, labeled_census, labeled_representatives, sioc_via_augmentation
 
 
 class TestEnumeration:

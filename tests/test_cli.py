@@ -372,6 +372,28 @@ def test_non_finite_number_gives_error_document(capsys, tmp_path, command, flag,
     assert "integer" in json.loads(out)["message"]
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("analyze", "--model", '{"n": 2.7, "edges": [[1, 2]], "in": [1], "out": [2]}'),
+        ("analyze", "--model", '{"n": 2, "edges": [[1, 2]], "in": "12", "out": [2]}'),
+        ("analyze", "--model", '{"n": 2, "edges": [["1", "2"]], "in": [1], "out": [2]}'),
+        ("analyze", "--model", '{"n": 2, "edges": [[1, 2]], "in": [true], "out": [2]}'),
+        ("construct", "--script", '{"steps": [[1, 1, 2.0]], "final_leak": 1}'),
+        ("construct", "--script", '{"steps": [[1, 1, 2]], "final_leak": "1"}'),
+    ],
+    ids=["float-n", "string-in", "string-edge", "bool-input", "float-step", "string-leak"],
+)
+def test_values_that_are_not_json_integers_give_error_document(capsys, tmp_path, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out = run(capsys, command, flag, str(path), "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == ("BadModelFile" if command == "analyze" else "ModelError")
+    assert "integer" in doc["message"]
+
+
 def test_vertex_count_above_cap_gives_error_document(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text('{"n": 10000000, "edges": [], "in": [1], "out": [1]}')
@@ -466,6 +488,19 @@ class TestCensusCommand:
             capsys,
             "census", "--n", "3", "--m", "5..3", "--checkpoint-dir", str(ck),
             "--out", str(out_path), "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ModelError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [("3", "0..99999999999999999999"), ("3", "2..7"), ("99999999999", "0..99999999999999999999")],
+    )
+    def test_m_range_bounds_checked_before_the_list_is_built(self, capsys, tmp_path, n, m):
+        code, out = run(
+            capsys,
+            "census", "--n", n, "--m", m, "--out", str(tmp_path / "rows.csv"), "--format", "json",
         )
         assert code == 1
         assert json.loads(out)["error"] == "ModelError"

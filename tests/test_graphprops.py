@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
+from identkit.census import edge_slots
 from identkit.graphprops import (
     PreconditionViolated,
     closure_masks,
@@ -20,6 +24,7 @@ from identkit.graphprops import (
     output_reachable_set,
     satisfies_almost_isc,
 )
+from identkit.identcore import classify_identifiability
 from identkit.model import make_model
 
 from conftest import (
@@ -35,8 +40,30 @@ from oracles import (
     dense_reachability,
     exhaustive_isc,
     oracle_strongly_connected,
+    sioc_by_definition,
     sioc_via_augmentation,
 )
+
+
+def _nonempty_subsets(n):
+    vertices = range(1, n + 1)
+    return [set(c) for k in range(1, n + 1) for c in combinations(vertices, k)]
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail with TimeoutError, instead of hanging, when the block runs longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestStronglyConnected:
@@ -104,6 +131,52 @@ class TestSIOC:
     def test_single_edge(self):
         m = make_model(2, [(1, 2)], {1}, {2}, set())
         assert is_strongly_input_output_connected(m)
+
+    def test_every_small_model_matches_definition(self):
+        """Every labeled digraph with n <= 3, with every nonempty In and Out."""
+        cases = {True: 0, False: 0}
+        for n in range(1, 4):
+            slots = edge_slots(n)
+            subsets = _nonempty_subsets(n)
+            for mask in range(1 << len(slots)):
+                edges = [e for k, e in enumerate(slots) if mask >> k & 1]
+                for inputs in subsets:
+                    for outputs in subsets:
+                        m = make_model(n, edges, inputs, outputs)
+                        expected = sioc_by_definition(m)
+                        assert is_strongly_input_output_connected(m) == expected, m
+                        cases[expected] += 1
+        assert sum(cases.values()) == 1 + 4 * 9 + 64 * 49
+        assert min(cases.values()) > 0
+
+    def test_sampled_models_match_definition(self, rng):
+        """n = 4-7, with up to three inputs and three outputs."""
+        cases = {True: 0, False: 0}
+        for _ in range(1000):
+            n = rng.randint(4, 7)
+            bias = rng.uniform(0.15, 0.4)
+            edges = [e for e in edge_slots(n) if rng.random() < bias]
+            inputs = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            outputs = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            m = make_model(n, edges, inputs, outputs)
+            expected = sioc_by_definition(m)
+            assert is_strongly_input_output_connected(m) == expected, m
+            cases[expected] += 1
+        assert min(cases.values()) > 0
+
+    def test_layered_model_is_decided_promptly(self):
+        """1 -> 2 with In={1}, Out={2}, and a width-4 layered DAG of 15 layers
+        hanging off compartment 1 (62 compartments, 4^15 simple paths from
+        the input); its output-reachable part is only {1, 2}."""
+        edges, layer = [(1, 2)], [1]
+        for k in range(15):
+            prev, layer = layer, list(range(3 + 4 * k, 7 + 4 * k))
+            edges += [(a, b) for a in prev for b in layer]
+        m = make_model(62, edges, {1}, {2}, {1, 2})
+        with _time_limit(10):
+            assert not is_strongly_input_output_connected(m)
+            report = classify_identifiability(m, seed=1)
+        assert not report.strongly_input_output_connected
 
     def test_augmentation_equivalence(self, rng):
         """The definitional check agrees with strong connectivity of the

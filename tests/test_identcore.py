@@ -430,7 +430,7 @@ class TestRankProperties:
             if not ((sioc and len(m.outputs) == 1) or (sc and len(m.inputs) == 1)):
                 continue
             restricted = m.with_leaks(m.in_union_out)
-            full = m.full_leak_version()
+            full = m.with_leaks(m.vertices)
             ident = classify_identifiability(restricted, seed=31).verdict == "locally-identifiable"
             expdim = expected_dimension_test(full, seed=31).equals_bound
             assert ident == expdim, m
@@ -449,7 +449,7 @@ class TestRankProperties:
             if not is_output_connectable(m):
                 continue
             restricted = m.with_leaks(m.in_union_out)
-            full = m.full_leak_version()
+            full = m.with_leaks(m.vertices)
             ident = classify_identifiability(restricted, seed=37).verdict == "locally-identifiable"
             expdim = expected_dimension_test(full, seed=37).equals_bound
             assert ident == expdim, m

@@ -54,7 +54,7 @@ class TestWorkedExampleEquation:
             + mono(t, a11, a22, a33, a44)
         )
         assert list(eq.lhs) == [c1, c2, c3, c4]
-        u1 = eq.rhs_for(1)
+        u1 = dict(eq.rhs)[1]
         assert list(u1) == [
             SparsePoly.zero(t),
             mono(t, a21),
@@ -77,7 +77,7 @@ class TestSmallEquations:
         eq = io_equation(m, 1, MODE_EXPLICIT)
         t = eq.table
         assert list(eq.lhs) == [mono(t, Param.leak(1))]
-        assert list(eq.rhs_for(1)) == [SparsePoly.const(t, 1)]
+        assert list(dict(eq.rhs)[1]) == [SparsePoly.const(t, 1)]
         assert render_io_equation(eq) == "y1' + (a01)*y1 = u1"
 
     def test_two_chain_diag(self):
@@ -86,7 +86,7 @@ class TestSmallEquations:
         t = eq.table
         d1, d2 = Param.diag(1), Param.diag(2)
         assert list(eq.lhs) == [-(mono(t, d1) + mono(t, d2)), mono(t, d1, d2)]
-        assert list(eq.rhs_for(1)) == [SparsePoly.zero(t), mono(t, Param.edge(1, 2))]
+        assert list(dict(eq.rhs)[1]) == [SparsePoly.zero(t), mono(t, Param.edge(1, 2))]
 
     def test_no_input_reaches_output(self):
         m = make_model(3, [(3, 2)], {1}, {2}, set())
@@ -104,7 +104,7 @@ class TestSmallEquations:
         m = make_model(3, [(1, 2), (2, 3)], {1}, {2}, {1, 2, 3})
         eq = io_equation(m, 2, MODE_DIAG)
         d3 = eq.table.index_of(Param.diag(3))
-        for poly in list(eq.lhs) + list(eq.rhs_for(1)):
+        for poly in list(eq.lhs) + list(dict(eq.rhs)[1]):
             assert all(e[d3] == 0 for e in poly.terms)
 
 
@@ -207,7 +207,7 @@ class TestHighestOrderInputCoefficient:
             eq = io_equation(m, j, MODE_DIAG)
             d = eq.order
             for i in candidates:
-                coeffs = eq.rhs_for(i)
+                coeffs = dict(eq.rhs)[i]
                 top = next((k for k, p in enumerate(coeffs) if not p.is_zero()), None)
                 dij = dist(m, i, j)
                 assert top is not None and isinstance(dij, int)

@@ -83,6 +83,34 @@ class TestSerialization:
         m = from_dict({"n": 2, "edges": [[1, 2]], "in": [1], "out": [2]})
         assert m.leaks == frozenset()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": 2.7},
+            {"n": 2.0},
+            {"n": "2"},
+            {"n": True},
+            {"in": "12"},
+            {"in": 1},
+            {"out": [2.0]},
+            {"leak": [True]},
+            {"leak": {"1": 1}},
+            {"edges": [["1", "2"]]},
+            {"edges": [[True, 2]]},
+            {"edges": [[1, 2, 3]]},
+            {"edges": [(1, 2)]},
+            {"edges": {"1": 2}},
+        ],
+        ids=repr,
+    )
+    def test_only_json_integers_and_lists_accepted(self, change):
+        """Nothing is converted: a file that does not hold integers and lists
+        where the format has them is rejected, not read as another model."""
+        doc = {"n": 2, "edges": [[1, 2]], "in": [1], "out": [2], "leak": [1]}
+        from_dict(doc)
+        with pytest.raises(BadModelFile, match="integer"):
+            from_dict({**doc, **change})
+
 
 def var(table, p):
     return SparsePoly.var(table, p)

@@ -15,7 +15,7 @@ from identkit.identcore import (
     jacobian_rank,
 )
 from identkit.ioeq import coefficient_map
-from identkit.model import MODE_DIAG, make_model
+from identkit.model import MODE_DIAG, ModelError, make_model
 from identkit.transforms import (
     AlreadyLeak,
     AnchorMissing,
@@ -103,9 +103,14 @@ class TestAttachPath:
 
     def test_single_vertex_attachment(self):
         m = make_model(2, [(1, 2), (2, 1)], {1}, {1}, {1, 2})
-        grown, cert = attach_path(m, 1, 2, 1, certify=True)
+        grown, cert = attach_path(m, 1, 2, 1)
         assert grown.edges == ((1, 2), (1, 3), (2, 1), (3, 2))
         assert cert is not None
+
+    def test_no_certificate_outside_the_cycle_context(self):
+        m = make_model(2, [(1, 2), (2, 1)], {1}, {2}, {1, 2})
+        grown, cert = attach_path(m, 1, 2, 1)
+        assert grown.n == 3 and cert is None
 
     def test_anchor_missing(self):
         with pytest.raises(AnchorMissing):
@@ -140,6 +145,24 @@ class TestConstruction:
     def test_script_round_trip(self):
         script = ConstructionScript(steps=((1, 1, 2), (2, 3, 2)), final_leak=5)
         assert ConstructionScript.from_dict(script.to_dict()) == script
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"steps": [[1, 1, 2.0]], "final_leak": 1},
+            {"steps": [["1", 1, 2]], "final_leak": 1},
+            {"steps": [[1, True, 2]], "final_leak": 1},
+            {"steps": [(1, 1, 2)], "final_leak": 1},
+            {"steps": "112", "final_leak": 1},
+            {"steps": [[1, 1, 2]], "final_leak": 1.5},
+            {"steps": [[1, 1, 2]], "final_leak": "1"},
+            {"steps": [[1, 1, 2]], "final_leak": False},
+        ],
+        ids=repr,
+    )
+    def test_script_accepts_only_json_integers_and_lists(self, doc):
+        with pytest.raises(ModelError, match="integer"):
+            ConstructionScript.from_dict(doc)
 
     def test_randomized_scripts_build_identifiable_models(self, rng):
         for _ in range(15):
@@ -213,7 +236,7 @@ class TestRankPreservationProperties:
         for _ in range(8):
             k = rng.randint(1, model.n)
             l = rng.randint(1, model.n)
-            model, cert = attach_path(model, k, l, rng.randint(1, 2), certify=True)
+            model, cert = attach_path(model, k, l, rng.randint(1, 2))
             assert cert is not None
             assert expected_dimension_test(model, seed=53).equals_bound
 
