@@ -32,20 +32,21 @@ For a representative G with automorphism group Aut(G), the
 ``strongly_connected`` cell adds n!/|Aut(G)| labeled graphs, and a cell with
 k roles adds (n-k)!/|Stab(t)| for each Aut-orbit of ordered role tuples t
 that is a member: that many labeled graphs are G with t relabeled to 1..k.
-One reachability closure of G decides strong connectivity and the strong
-input-output connectivity of every role tuple.  One expansion of G's
-characteristic matrix gives the cofactors of all its role tuples, and one
-call of the rank engine ranks them, save the tuples whose rows hold fewer
-non-constant coefficients than the tuple's bound: their rank is below the
-bound at every point, so they are proof-grade non-members and are never
-ranked.
+One breadth-first search per vertex of G gives its distances, which decide
+strong connectivity and the strong input-output connectivity of every role
+tuple.  A tuple whose bound |E| + |In u Out| exceeds the paper's expected
+coefficient count (``ioeq.coefficient_count`` of its input-output
+distances) ranks below the bound at every point: it is a proof-grade
+non-member and is neither expanded nor ranked.  One expansion of G's
+characteristic matrix gives the cofactors of the other tuples, and one call
+of the rank engine ranks them.
 
 Counting is deterministic for a fixed seed regardless of worker count: each
 class owns an RNG stream derived from (seed, n, m, index of its
 representative among the labeled graphs), and aggregation is plain
-addition.  A checkpoint block is a range of labeled indices and holds the
-classes whose representative lies in it; worker k of a block takes its
-classes k, k + jobs, ...
+addition.  A checkpoint block is a run of ``CHECKPOINT_EVERY`` consecutive
+classes in index order; worker k of a block takes its classes k,
+k + jobs, ...
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import csv
 import json
 import math
 import os
-from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,11 +64,12 @@ from operator import or_
 
 from . import graphprops
 from .identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
-from .model import ModelError, compartmental_matrix, make_model
+from .ioeq import coefficient_count
+from .model import ModelError, compartmental_matrix, make_model, read_json
 from .sympoly import char_poly_coeffs
 
-CHECKPOINT_EVERY = 10_000
-CHECKPOINT_FORMAT = "orbit"  # counts of a block are summed over its class representatives
+CHECKPOINT_EVERY = 10_000  # classes per checkpoint block
+CHECKPOINT_FORMAT = "class-blocks"  # counts summed over the first next_class classes
 MAX_N = 7  # every generated graph is relabeled by all n! permutations
 
 CELLS = (
@@ -114,17 +115,18 @@ def total_graphs(n: int, m: int) -> int:
 
 
 def row_feasibility(n: int, m: int) -> dict[str, bool]:
-    """Which cells are structurally possible at (n, m)."""
+    """Which cells are structurally possible at (n, m); an expdim cell needs
+    m + |In u Out| within the coefficient count at distance 1."""
     sc_ok = n == 1 or m >= n
     sioc_ok = m >= n - 1
     return {
         "strongly_connected": sc_ok,
-        "expdim_in1_out1": sc_ok and m + 1 <= 2 * n - 1,
-        "expdim_in1_out23": n >= 3 and sc_ok and m + 3 <= 3 * n - 2,
+        "expdim_in1_out1": sc_ok and m + 1 <= coefficient_count(n, (), 1),
+        "expdim_in1_out23": n >= 3 and sc_ok and m + 3 <= coefficient_count(n, (1, 1)),
         "sioc_in1_out2": n >= 2 and sioc_ok,
-        "expdim_in1_out2": n >= 2 and sioc_ok and m + 2 <= 2 * n - 1,
+        "expdim_in1_out2": n >= 2 and sioc_ok and m + 2 <= coefficient_count(n, (1,)),
         "sioc_in13_out2": n >= 3 and sioc_ok,
-        "expdim_in13_out2": n >= 3 and sioc_ok and m + 3 <= 3 * n - 2,
+        "expdim_in13_out2": n >= 3 and sioc_ok and m + 3 <= coefficient_count(n, (1, 1)),
     }
 
 
@@ -216,17 +218,17 @@ def _tuple_orbits(n: int, k: int, aut) -> dict[tuple[int, ...], int]:
     return orbits
 
 
-def _reach(n: int, edges) -> tuple[list[int], int]:
-    """One reachability closure of the graph: per vertex v (bit v-1), the
-    vertices v reaches, v included; and ``common``, the vertices that every
-    vertex reaches.  The graph is strongly connected exactly when ``common``
-    holds every vertex."""
-    closure = graphprops.closure_masks(graphprops.out_masks(n, edges))
-    reach = [r | 1 << v for v, r in enumerate(closure)]
+def _reach(n: int, edges) -> tuple[list[int], int, list[list[int | float]]]:
+    """Per vertex v (entry v-1), the mask of the vertices v reaches, v
+    included; ``common``, the vertices that every vertex reaches (all of
+    them when the graph is strongly connected); per vertex, its distances."""
+    masks = graphprops.out_masks(n, edges)
+    dist = [graphprops.distances(masks, v) for v in range(1, n + 1)]
+    reach = [sum(1 << u for u, d in enumerate(row) if d != math.inf) for row in dist]
     common = (1 << n) - 1
     for r in reach:
         common &= r
-    return reach, common
+    return reach, common, dist
 
 
 def _sioc(reach: list[int], common: int, inputs, output: int) -> bool:
@@ -244,11 +246,12 @@ def _sioc(reach: list[int], common: int, inputs, output: int) -> bool:
     return acc == (1 << len(reach)) - 1
 
 
-def _coefficient_short(polys, rows, bound: int) -> bool:
-    """Do fewer than ``bound`` of ``rows`` hold a non-constant polynomial?  A
-    constant row has a zero gradient, so the rank of those rows is then below
-    ``bound`` at every point: a proof-grade non-member."""
-    return sum(1 for r in rows if any(polys[r].packed)) < bound
+def _coefficient_count(n: int, dist, cofactors) -> int:
+    """``coefficient_count`` of a role tuple with the cofactor positions
+    (input, output): each (i, i) is a compartment that is both, and each
+    other (i, j) adds the distance i -> j."""
+    dists = [dist[i - 1][j - 1] for i, j in cofactors if i != j]
+    return coefficient_count(n, dists, len(cofactors) - len(dists))
 
 
 def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int) -> dict[str, dict]:
@@ -263,7 +266,7 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
     m = len(edges)
     singles, pairs, triples = (_tuple_orbits(n, k, aut) for k in (1, 2, 3))
     held: dict[str, dict] = {name: {} for name in CELLS}
-    reach, common = _reach(n, edges)
+    reach, common, dist = _reach(n, edges)
     sc = common == (1 << n) - 1
     if sc:
         held["strongly_connected"][()] = 1
@@ -296,6 +299,10 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
             ("expdim_in13_out2", (a, b, c), size, ((a, b), (c, b)), m + 3)
             for (a, b, c), size in held["sioc_in13_out2"].items()
         ]
+    # a tuple whose bound exceeds its coefficient count ranks below the bound
+    # at every point: a proof-grade non-member (never so for expdim_in1_out1,
+    # whose count 2n - 1 row_feasibility checks)
+    tests = [test for test in tests if test[4] <= _coefficient_count(n, dist, test[3])]
     if not tests:
         return held
 
@@ -311,17 +318,10 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
     for _, _, _, cofactors, bound in tests:
         rows = list(range(n)) + [r for pos in cofactors for r in range(block[pos], block[pos] + n - 1)]
         subsets.setdefault((frozenset(cofactors), bound), rows)
-    # trial t draws the same point whichever subsets are pending, so ranking
-    # fewer subsets leaves the rank of each one unchanged
-    ranked = {
-        key: rows for key, rows in subsets.items() if not _coefficient_short(polys, rows, key[1])
-    }
-    targets = [(rows, bound) for (_, bound), rows in ranked.items()]
-    rank_of = dict(zip(ranked, jacobian_ranks(polys, matrix.table, rng, trials, targets)))
+    targets = [(rows, bound) for (_, bound), rows in subsets.items()]
+    rank_of = dict(zip(subsets, jacobian_ranks(polys, matrix.table, rng, trials, targets)))
     for name, t, size, cofactors, bound in tests:
-        rank = rank_of.get((frozenset(cofactors), bound))
-        if rank is None:  # coefficient-short
-            continue
+        rank = rank_of[frozenset(cofactors), bound]
         if rank > bound:
             raise AssertionError(f"rank {rank} exceeds bound {bound} for {name} at {t} on edges {edges}")
         if rank == bound:
@@ -370,28 +370,25 @@ def check_row(n: int, m: int, trials: int, jobs: int = 1) -> None:
         raise ModelError(f"jobs must be at least 1, got {jobs}")
 
 
-def _read_checkpoint(path: str, key: dict, total: int) -> tuple[list[int], int] | None:
-    """(counts, next index) saved at ``path`` for the run ``key``; None when
-    the file belongs to another run.  ModelError when it cannot be read."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-    except ValueError as exc:
-        raise ModelError(f"checkpoint {path} is not JSON: {exc}") from None
+def _read_checkpoint(path: str, key: dict, classes: int) -> tuple[list[int], int] | None:
+    """(counts, next class) saved at ``path`` for the run ``key`` of a row
+    with ``classes`` classes; None when the file belongs to another run.
+    ModelError when it cannot be read."""
+    state = read_json(path, "checkpoint", ModelError)
     if not isinstance(state, dict):
         raise ModelError(f"checkpoint {path} is not a JSON object")
     if any(state.get(k) != v for k, v in key.items()):
         return None
-    counts, next_index = state.get("counts"), state.get("next_index")
+    counts, next_class = state.get("counts"), state.get("next_class")
     if not (
         isinstance(counts, list)
         and len(counts) == len(CELLS)
         and all(type(c) is int and c >= 0 for c in counts)
-        and type(next_index) is int
-        and 0 <= next_index <= total
+        and type(next_class) is int
+        and 0 <= next_class <= classes
     ):
-        raise ModelError(f"checkpoint {path} has no valid counts and next_index")
-    return counts, next_index
+        raise ModelError(f"checkpoint {path} has no valid counts and next_class")
+    return counts, next_class
 
 
 def census_row(
@@ -408,44 +405,42 @@ def census_row(
 
     With ``jobs > 1`` one process pool serves the whole row.  With a
     checkpoint path, partial counts are flushed every ``CHECKPOINT_EVERY``
-    graph indices and an interrupted run resumes from the last flush (the
-    file must match the format, n, m, seed and trials).
+    classes and an interrupted run resumes from the last flush (the file
+    must match the format, n, m, seed and trials).  ``progress`` is called
+    after each block with (n, m, classes done, classes in the row).
     """
     check_row(n, m, trials, jobs)
-    total = total_graphs(n, m)
     feas = row_feasibility(n, m)
+    classes = representatives(n, m)
     counts = [0] * len(CELLS)
-    next_index = 0
+    done = 0
 
     key = {"format": CHECKPOINT_FORMAT, "n": n, "m": m, "seed": seed, "trials": trials}
     if checkpoint_path and os.path.exists(checkpoint_path):
-        counts, next_index = _read_checkpoint(checkpoint_path, key, total) or (counts, next_index)
+        counts, done = _read_checkpoint(checkpoint_path, key, len(classes)) or (counts, done)
 
-    classes = representatives(n, m)
-    indices = [idx for idx, _, _ in classes]
     # worker k of a block takes its classes k, k + jobs, ...: as many classes
     # as any other worker, drawn from every part of the block
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
-        while next_index < total:
-            stop = min(next_index + CHECKPOINT_EVERY, total)
-            block = classes[bisect_left(indices, next_index) : bisect_left(indices, stop)]
+        while done < len(classes):
+            block = classes[done : done + CHECKPOINT_EVERY]
             tasks = [(n, m, block[k::jobs], seed, trials) for k in range(min(jobs, len(block)))]
             for part in mapper(_eval_chunk, tasks):
                 counts = [a + b for a, b in zip(counts, part)]
-            next_index = stop
+            done += len(block)
             if checkpoint_path:
                 tmp = checkpoint_path + ".tmp"
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump({**key, "next_index": next_index, "counts": counts}, fh)
+                    json.dump({**key, "next_class": done, "counts": counts}, fh)
                 os.replace(tmp, checkpoint_path)
             if progress:
-                progress(n, m, next_index, total)
+                progress(n, m, done, len(classes))
 
     cells = {
         name: (counts[pos] if feas[name] else None) for pos, name in enumerate(CELLS)
     }
-    return CensusRow(n=n, m=m, total=total, **cells)
+    return CensusRow(n=n, m=m, total=total_graphs(n, m), **cells)
 
 
 def census_table(

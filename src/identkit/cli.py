@@ -19,7 +19,7 @@ from . import __version__, census, cyclespace, identcore, ioeq, transforms
 from .identcore import HypothesesNotMet
 from .ioeq import NoInputReachesOutput
 from .graphprops import CapExceeded, PreconditionViolated
-from .model import ModelError, load_model
+from .model import ModelError, load_model, read_json
 
 _USER_ERRORS = (
     ModelError,
@@ -202,8 +202,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    with open(args.script, "r", encoding="utf-8") as fh:
-        script = transforms.ConstructionScript.from_json(fh.read())
+    doc = read_json(args.script, "construction script", ModelError)
+    script = transforms.ConstructionScript.from_dict(doc)
     model, certs = transforms.run_construction(script, seed=args.seed, trials=args.trials)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -225,7 +225,7 @@ def _cmd_census(args) -> int:
     started = time.time()
 
     def progress(n, m, done, total):
-        print(f"  ({n},{m}): {done}/{total}", file=sys.stderr, flush=True)
+        print(f"  ({n},{m}): {done}/{total} classes", file=sys.stderr, flush=True)
 
     rows = census.census_table(
         args.n,

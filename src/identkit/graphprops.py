@@ -39,12 +39,6 @@ def in_masks(n: int, edges) -> list[int]:
     return masks
 
 
-def closure_masks(masks: list[int]) -> list[int]:
-    """Per-vertex reachability closure (not including the vertex itself
-    unless it lies on a cycle)."""
-    return [reachable_from(masks, out) for out in masks]
-
-
 def reachable_from(masks: list[int], start_mask: int) -> int:
     """All vertices reachable from the seed set (seed included)."""
     acc = start_mask
@@ -59,6 +53,26 @@ def reachable_from(masks: list[int], start_mask: int) -> int:
         frontier = new & ~acc
         acc |= new
     return acc
+
+
+def distances(masks: list[int], v: int) -> list[int | float]:
+    """Per vertex u (entry u-1), the length of the shortest directed path
+    v -> u: 0 for v itself, math.inf when u is unreachable."""
+    out: list[int | float] = [math.inf] * len(masks)
+    seen = frontier = 1 << (v - 1)
+    steps = 0
+    while frontier:
+        new = 0
+        while frontier:
+            low = frontier & (-frontier)
+            u = low.bit_length() - 1
+            out[u] = steps
+            new |= masks[u]
+            frontier ^= low
+        frontier = new & ~seen
+        seen |= new
+        steps += 1
+    return out
 
 
 def strongly_connected_raw(n: int, edges) -> bool:
@@ -132,26 +146,7 @@ def is_output_connectable_to_every_output(model: CompartmentalModel) -> bool:
 
 def dist(model: CompartmentalModel, i: int, j: int) -> int | float:
     """Length of the shortest directed path i -> j; math.inf if unreachable."""
-    if i == j:
-        return 0
-    masks = out_masks(model.n, model.edges)
-    target = 1 << (j - 1)
-    acc = 1 << (i - 1)
-    frontier = acc
-    steps = 0
-    while frontier:
-        steps += 1
-        new = 0
-        rest = frontier
-        while rest:
-            low = rest & (-rest)
-            new |= masks[low.bit_length() - 1]
-            rest ^= low
-        if new & target:
-            return steps
-        frontier = new & ~acc
-        acc |= new
-    return math.inf
+    return distances(out_masks(model.n, model.edges), i)[j - 1]
 
 
 def is_strongly_input_output_connected(model: CompartmentalModel) -> bool:

@@ -133,14 +133,19 @@ def coefficient_map(model: CompartmentalModel, mode: str = MODE_EXPLICIT) -> Coe
     )
 
 
+def coefficient_count(n: int, dists, shared: int = 0) -> int:
+    """The paper's expected number of nonzero coefficients (the edge formula):
+    n, plus n - d per other input or output at distance ``dists`` d from the
+    single one, plus n - 1 per compartment that is both input and output."""
+    return n + sum(n - d for d in dists) + shared * (n - 1)
+
+
 def expected_coefficient_count(model: CompartmentalModel) -> int | None:
-    """Closed-form count of nonzero coefficients, or None when the formula's
+    """``coefficient_count`` of the model, or None when the formula's
     hypotheses (single input or output, the right connectability, leaks on
     every input/output compartment) do not hold."""
     if not model.in_union_out <= model.leaks:
         return None
-    nv = model.n
-    m = len(model.inputs & model.outputs)
     if len(model.outputs) == 1 and graphprops.is_output_connectable(model):
         (j,) = model.outputs
         others = sorted(model.inputs - model.outputs)
@@ -153,7 +158,7 @@ def expected_coefficient_count(model: CompartmentalModel) -> int | None:
         return None
     if any(not isinstance(d, int) for d in dists):
         return None
-    return nv + len(others) * nv - sum(dists) + m * (nv - 1)
+    return coefficient_count(model.n, dists, len(model.inputs & model.outputs))
 
 
 # -- rendering ------------------------------------------------------------

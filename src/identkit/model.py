@@ -262,14 +262,23 @@ def from_dict(doc: dict) -> CompartmentalModel:
 def from_json(text: str) -> CompartmentalModel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadModelFile(f"invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise BadModelFile(f"invalid JSON: {exc}") from None
     return from_dict(doc)
 
 
+def read_json(path: str, what: str = "model file", error: type[ModelError] = BadModelFile):
+    """The JSON document in the file ``path``; ``error`` when the file is not
+    UTF-8 (a ValueError), not JSON, or nested too deeply to parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} {path} is not UTF-8 JSON: {exc}") from None
+
+
 def load_model(path: str) -> CompartmentalModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+    return from_dict(read_json(path))
 
 
 @dataclass(frozen=True)

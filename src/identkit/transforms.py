@@ -8,12 +8,11 @@ claim is proof-grade.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import graphprops, identcore
 from .identcore import HypothesesNotMet
-from .model import CompartmentalModel, ModelError, is_int_list, make_model
+from .model import MAX_VERTICES, CompartmentalModel, ModelError, VertexOutOfRange, is_int_list, make_model
 
 
 class KeepNotSubsetOfLeak(ModelError):
@@ -138,6 +137,8 @@ def attach_path(
         if not 1 <= v <= model.n:
             raise AnchorMissing(f"anchor vertex {v} does not exist")
     n = model.n
+    if n + s > MAX_VERTICES:  # before any vertex list is built
+        raise VertexOutOfRange(f"n must be <= {MAX_VERTICES}, got {n + s}")
     new_vertices = list(range(n + 1, n + s + 1))
     chain = [(k, new_vertices[0])]
     chain += [(new_vertices[t], new_vertices[t + 1]) for t in range(s - 1)]
@@ -195,14 +196,6 @@ class ConstructionScript:
         if type(final_leak) is not int:
             raise ModelError(f"final_leak must be an integer, got {final_leak!r}")
         return ConstructionScript(steps=tuple(tuple(step) for step in steps), final_leak=final_leak)
-
-    @staticmethod
-    def from_json(text: str) -> "ConstructionScript":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"invalid JSON: {exc}") from exc
-        return ConstructionScript.from_dict(doc)
 
 
 def run_construction(

@@ -8,6 +8,7 @@ the code under test.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -99,6 +100,21 @@ def dense_reachability(model: CompartmentalModel) -> dict[int, set[int]]:
                 reach[v] |= extra
                 changed = True
     return reach
+
+
+def floyd_warshall(n: int, edges) -> dict[tuple[int, int], int | float]:
+    """All-pairs shortest directed path lengths (math.inf when unreachable)
+    by Floyd-Warshall relaxation over every intermediate vertex."""
+    vs = range(1, n + 1)
+    d = {(i, j): 0 if i == j else math.inf for i in vs for j in vs}
+    for e in edges:
+        d[e] = 1
+    for k in vs:
+        for i in vs:
+            for j in vs:
+                if d[i, k] + d[k, j] < d[i, j]:
+                    d[i, j] = d[i, k] + d[k, j]
+    return d
 
 
 def oracle_strongly_connected(model: CompartmentalModel) -> bool:

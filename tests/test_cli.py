@@ -402,7 +402,54 @@ def test_vertex_count_above_cap_gives_error_document(capsys, tmp_path):
     assert json.loads(out)["error"] == "VertexOutOfRange"
 
 
+@pytest.mark.parametrize(
+    "command, model, step",
+    [("transform", '{"n": 1, "edges": [], "in": [1], "out": [1], "leak": [1]}', None),
+     ("construct", None, '{"steps": [[1, 1, 100000000]], "final_leak": 1}')],
+    ids=["transform", "construct"],
+)
+def test_path_beyond_vertex_cap_gives_error_document(capsys, tmp_path, command, model, step):
+    """A path of 10^8 new vertices is refused before any vertex list is built."""
+    path = tmp_path / "input.json"
+    path.write_text(model or step)
+    if command == "transform":
+        argv = ["transform", "--model", str(path), "--attach-path", "1,1,100000000"]
+    else:
+        argv = ["construct", "--script", str(path)]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == "VertexOutOfRange"
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{\x00}\x00", b"[" * 200_000], ids=["utf16", "deep"])
+@pytest.mark.parametrize(
+    "reader, error",
+    [("model", "BadModelFile"), ("script", "ModelError"), ("checkpoint", "ModelError")],
+)
+def test_unreadable_json_file_gives_error_document(capsys, tmp_path, reader, error, data):
+    """A file that is not UTF-8, or nests deeper than the parser goes,
+    gives an error document from every reader of JSON files."""
+    path = tmp_path / "census_3_3_0.json"  # the checkpoint name of row (3,3) at seed 0
+    path.write_bytes(data)
+    argv = {
+        "model": ["analyze", "--model", str(path)],
+        "script": ["construct", "--script", str(path)],
+        "checkpoint": [
+            "census", "--n", "3", "--m", "3", "--seed", "0",
+            "--checkpoint-dir", str(tmp_path), "--out", str(tmp_path / "rows.csv"),
+        ],
+    }[reader]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
 class TestCensusCommand:
+    def test_verbose_progress_counts_classes(self, capsys, tmp_path):
+        code = main(["census", "--n", "3", "--m", "3", "--out", str(tmp_path / "rows.csv"), "--verbose"])
+        assert code == 0
+        assert "(3,3): 4/4 classes" in capsys.readouterr().err
+
     def test_small_census_csv(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.csv")
         code, out = run(
@@ -465,7 +512,7 @@ class TestCensusCommand:
 
     @pytest.mark.parametrize(
         "text",
-        ["garbage", "[1, 2]", '{"format": "orbit", "n": 3, "m": 3, "seed": 0, "trials": 3}'],
+        ["garbage", "[1, 2]", '{"format": "class-blocks", "n": 3, "m": 3, "seed": 0, "trials": 3}'],
         ids=["not-json", "not-an-object", "no-counts"],
     )
     def test_corrupt_checkpoint_gives_error_document(self, capsys, tmp_path, text):

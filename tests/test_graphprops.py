@@ -13,8 +13,8 @@ import pytest
 from identkit.census import edge_slots
 from identkit.graphprops import (
     PreconditionViolated,
-    closure_masks,
     dist,
+    distances,
     is_inductively_strongly_connected,
     is_output_connectable,
     is_output_connectable_to_every_output,
@@ -37,8 +37,8 @@ from conftest import (
     three_cycle,
 )
 from oracles import (
-    dense_reachability,
     exhaustive_isc,
+    floyd_warshall,
     oracle_strongly_connected,
     sioc_by_definition,
     sioc_via_augmentation,
@@ -85,14 +85,6 @@ class TestStronglyConnected:
             g.add_nodes_from(m.vertices)
             g.add_edges_from(m.edges)
             assert is_strongly_connected(m) == nx.is_strongly_connected(g)
-
-    def test_closure_masks_against_dense_oracle(self, rng):
-        for _ in range(200):
-            m = random_model(rng)
-            closure = closure_masks(out_masks(m.n, m.edges))
-            reach = dense_reachability(m)
-            for v in m.vertices:
-                assert closure[v - 1] == sum(1 << (w - 1) for w in reach[v]), m
 
 
 class TestOutputReachable:
@@ -243,6 +235,14 @@ class TestDist:
                         assert (dij == 1) == m.has_edge(i, j)
                     for k in m.vertices:
                         assert dist(m, i, k) <= dij + dist(m, j, k)
+
+    def test_distances_against_floyd_warshall(self, rng):
+        for _ in range(200):
+            m = random_model(rng, n_range=(1, 7))
+            expected = floyd_warshall(m.n, m.edges)
+            masks = out_masks(m.n, m.edges)
+            for v in m.vertices:
+                assert distances(masks, v) == [expected[v, u] for u in m.vertices], m
 
 
 class TestInductivelyStronglyConnected:

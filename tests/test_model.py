@@ -19,6 +19,7 @@ from identkit.model import (
     compartmental_matrix,
     from_dict,
     from_json,
+    load_model,
     make_model,
 )
 from identkit.sympoly import SparsePoly, VarTable
@@ -78,6 +79,16 @@ class TestSerialization:
     def test_missing_keys_rejected(self):
         with pytest.raises(BadModelFile):
             from_dict({"n": 1, "edges": []})
+
+    def test_unparsable_text_is_a_bad_model_file(self, tmp_path):
+        """Deep nesting exhausts the parser's recursion, and a file that is
+        not UTF-8 cannot be decoded: both are BadModelFile."""
+        with pytest.raises(BadModelFile):
+            from_json("[" * 200_000)
+        path = tmp_path / "model.json"
+        path.write_bytes('{"n": 1, "edges": [], "in": [1], "out": [1]}'.encode("utf-16"))
+        with pytest.raises(BadModelFile, match="UTF-8"):
+            load_model(str(path))
 
     def test_leak_key_optional(self):
         m = from_dict({"n": 2, "edges": [[1, 2]], "in": [1], "out": [2]})

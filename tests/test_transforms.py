@@ -15,7 +15,7 @@ from identkit.identcore import (
     jacobian_rank,
 )
 from identkit.ioeq import coefficient_map
-from identkit.model import MODE_DIAG, ModelError, make_model
+from identkit.model import MAX_VERTICES, MODE_DIAG, ModelError, VertexOutOfRange, make_model
 from identkit.transforms import (
     AlreadyLeak,
     AnchorMissing,
@@ -115,6 +115,13 @@ class TestAttachPath:
     def test_anchor_missing(self):
         with pytest.raises(AnchorMissing):
             attach_path(make_model(1, [], {1}, {1}, {1}), 1, 2, 1)
+
+    def test_path_beyond_the_vertex_cap_is_refused_at_once(self):
+        lone = make_model(1, [], {1}, {1}, {1})
+        for s in (100_000_000, MAX_VERTICES):
+            with pytest.raises(VertexOutOfRange):
+                attach_path(lone, 1, 1, s)
+        assert attach_path(lone, 1, 1, MAX_VERTICES - 1)[0].n == MAX_VERTICES
 
 
 class TestConstruction:
