@@ -16,7 +16,6 @@ from .model import (
 from .sympoly import SparsePoly, VarTable
 from .ioeq import CoefficientMap, IOEquation, coefficient_map, expected_coefficient_count, io_equation
 from .cyclespace import (
-    IncidenceMatrix,
     PathCycleBasis,
     enumerate_io_paths,
     enumerate_simple_cycles,

@@ -403,11 +403,12 @@ def census_row(
     """Count all graphs at (n, m); ModelError when n is outside 1..MAX_N, m
     outside 0..n(n-1), trials or jobs below 1, or the checkpoint is unreadable.
 
-    With ``jobs > 1`` one process pool serves the whole row.  With a
-    checkpoint path, partial counts are flushed every ``CHECKPOINT_EVERY``
-    classes and an interrupted run resumes from the last flush (the file
-    must match the format, n, m, seed and trials).  ``progress`` is called
-    after each block with (n, m, classes done, classes in the row).
+    With ``jobs > 1`` one process pool, of at most one worker per class,
+    serves the whole row.  With a checkpoint path, partial counts are
+    flushed every ``CHECKPOINT_EVERY`` classes and an interrupted run
+    resumes from the last flush (the file must match the format, n, m, seed
+    and trials).  ``progress`` is called after each block with (n, m,
+    classes done, classes in the row).
     """
     check_row(n, m, trials, jobs)
     feas = row_feasibility(n, m)
@@ -420,8 +421,10 @@ def census_row(
         counts, done = _read_checkpoint(checkpoint_path, key, len(classes)) or (counts, done)
 
     # worker k of a block takes its classes k, k + jobs, ...: as many classes
-    # as any other worker, drawn from every part of the block
-    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+    # as any other worker, drawn from every part of the block; a row of fewer
+    # classes than jobs starts one worker per class
+    workers = min(jobs, len(classes))
+    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
         while done < len(classes):
             block = classes[done : done + CHECKPOINT_EVERY]
@@ -559,6 +562,8 @@ def discrepancy_report(
     graphs with their per-seed membership, so a stable disagreement can be
     distinguished from a random-evaluation artifact.
     """
+    if not seeds:
+        raise ValueError("discrepancy_report needs at least one seed")
     per_seed_members = _members_by_seed(n, m, cell, seeds, trials)
     counts = {s: len(v) for s, v in per_seed_members.items()}
     union = sorted(set().union(*per_seed_members.values()))

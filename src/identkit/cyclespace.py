@@ -164,23 +164,15 @@ def path_cycle_rank(model: CompartmentalModel, cap: int = DEFAULT_CAP) -> tuple[
     return basis.independent_count, basis
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """|V| x |E| matrix: column of edge (j, k) has +1 at row j and -1 at row k.
-
-    Columns follow the model's canonical (src, dst) edge order."""
-
-    rows: tuple[tuple[int, ...], ...]
-    edge_order: tuple[tuple[int, int], ...]
-
-
-def incidence_matrix(model: CompartmentalModel) -> IncidenceMatrix:
+def incidence_matrix(model: CompartmentalModel) -> list[list[int]]:
+    """Rows of the |V| x |E| incidence matrix: the column of the model's
+    edge (j, k), in canonical (src, dst) order, has +1 at row j and -1 at row k."""
     rows = [[0] * len(model.edges) for _ in range(model.n)]
     for col, (src, dst) in enumerate(model.edges):
         rows[src - 1][col] = 1
         rows[dst - 1][col] = -1
-    return IncidenceMatrix(rows=tuple(tuple(r) for r in rows), edge_order=model.edges)
+    return rows
 
 
 def incidence_rank(model: CompartmentalModel) -> int:
-    return int_matrix_rank([list(r) for r in incidence_matrix(model).rows])
+    return int_matrix_rank(incidence_matrix(model))

@@ -76,14 +76,7 @@ def distances(masks: list[int], v: int) -> list[int | float]:
 
 
 def strongly_connected_raw(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    fwd = out_masks(n, edges)
-    full = (1 << n) - 1
-    if reachable_from(fwd, 1) != full:
-        return False
-    bwd = in_masks(n, edges)
-    return reachable_from(bwd, 1) == full
+    return induced_strongly_connected(out_masks(n, edges), (1 << n) - 1)
 
 
 def weakly_connected_raw(n: int, edges) -> bool:

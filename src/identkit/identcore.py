@@ -173,19 +173,18 @@ class NecessaryConditions:
 
 
 def necessary_conditions(model: CompartmentalModel) -> NecessaryConditions:
-    """Graph-structural screens that can certify unidentifiability outright."""
+    """Graph-structural screens that can certify unidentifiability outright.
+
+    Direct-edge is path-length at k = 1, and both are the edge formula
+    (``edge_formula_check``) on the full-leak model."""
     n = model.n
     ne = len(model.edges)
     nl = len(model.leaks)
     iuo = model.in_union_out
-    sioc = graphprops.is_strongly_input_output_connected(model)
-    sc = graphprops.is_strongly_connected(model)
-    single_in = len(model.inputs) == 1
-    single_out = len(model.outputs) == 1
     screens: list[ConditionResult] = []
 
     # parameter count vs the maximal dimension |E| + |In u Out|
-    if (sioc and single_out) or (sc and single_in):
+    if bound_tier(model) == "path-cycle":
         if nl > len(iuo):
             screens.append(
                 ConditionResult(
@@ -200,7 +199,8 @@ def necessary_conditions(model: CompartmentalModel) -> NecessaryConditions:
         screens.append(ConditionResult("leak-count", "skipped", "connectivity hypotheses not met"))
 
     # in = out with the maximal 2|V|-2 edges: an exchange is mandatory
-    if sc and single_in and model.inputs == model.outputs and ne == 2 * n - 2 and nl == 1:
+    in_is_out = len(model.inputs) == 1 and model.inputs == model.outputs
+    if in_is_out and ne == 2 * n - 2 and nl == 1 and graphprops.is_strongly_connected(model):
         has_exchange = any((d, s) in model._edge_set for s, d in model.edges)
         if has_exchange:
             screens.append(ConditionResult("exchange", "inconclusive", "an exchange is present"))
@@ -211,41 +211,37 @@ def necessary_conditions(model: CompartmentalModel) -> NecessaryConditions:
     else:
         screens.append(ConditionResult("exchange", "skipped", "hypotheses not met"))
 
-    # distinct single input/output with 2|V|-3 edges: a direct edge is mandatory
-    distinct_io = single_in and single_out and model.inputs != model.outputs
-    if distinct_io and sioc and ne == 2 * n - 3 and nl == len(iuo):
-        (i,) = model.inputs
-        (j,) = model.outputs
-        if model.has_edge(i, j):
-            screens.append(ConditionResult("direct-edge", "inconclusive", f"edge {i}->{j} present"))
-        else:
-            screens.append(
-                ConditionResult(
-                    "direct-edge", "certified-unidentifiable", f"no edge {i}->{j}"
-                )
-            )
-    else:
-        screens.append(ConditionResult("direct-edge", "skipped", "hypotheses not met"))
-
-    # distinct single input/output with 2|V|-(k+2) edges: a path of length <= k is mandatory
+    # distinct single input/output with 2|V|-(k+2) edges: a path of length <= k
+    # is mandatory; at k = 1 (2|V|-3 edges) that path is the direct edge
     k = 2 * n - 2 - ne
-    if distinct_io and sioc and k >= 1 and nl == len(iuo):
+    distinct_io = len(model.inputs) == len(model.outputs) == 1 and model.inputs != model.outputs
+    if (
+        distinct_io
+        and k >= 1
+        and nl == len(iuo)
+        and graphprops.is_strongly_input_output_connected(model)
+    ):
         (i,) = model.inputs
         (j,) = model.outputs
         d = graphprops.dist(model, i, j)
-        if isinstance(d, int) and d <= k:
+        short = d <= k
+        if k == 1:
             screens.append(
-                ConditionResult("path-length", "inconclusive", f"dist({i},{j})={d} <= {k}")
+                ConditionResult("direct-edge", "inconclusive", f"edge {i}->{j} present")
+                if short
+                else ConditionResult("direct-edge", "certified-unidentifiable", f"no edge {i}->{j}")
             )
         else:
-            screens.append(
-                ConditionResult(
-                    "path-length",
-                    "certified-unidentifiable",
-                    f"no path {i}->{j} of length at most {k}",
-                )
+            screens.append(ConditionResult("direct-edge", "skipped", "hypotheses not met"))
+        screens.append(
+            ConditionResult("path-length", "inconclusive", f"dist({i},{j})={d} <= {k}")
+            if short
+            else ConditionResult(
+                "path-length", "certified-unidentifiable", f"no path {i}->{j} of length at most {k}"
             )
+        )
     else:
+        screens.append(ConditionResult("direct-edge", "skipped", "hypotheses not met"))
         screens.append(ConditionResult("path-length", "skipped", "hypotheses not met"))
 
     return NecessaryConditions(tuple(screens))

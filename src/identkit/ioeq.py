@@ -15,6 +15,7 @@ flows still drain the retained compartments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import graphprops
 from .model import (
@@ -61,7 +62,6 @@ class CoefficientMap:
 
     polys: tuple[SparsePoly, ...]
     param_order: tuple[Param, ...]
-    provenance: tuple[tuple[int, str, int | None, int], ...]  # (output, side, input, order)
     table: VarTable
     minimality_warning: bool
 
@@ -99,35 +99,19 @@ def io_equation(model: CompartmentalModel, j: int, mode: str = MODE_EXPLICIT) ->
 def coefficient_map(model: CompartmentalModel, mode: str = MODE_EXPLICIT) -> CoefficientMap:
     mode = normalize_mode(mode)
     table = model.vartable(mode)
-    polys: list[SparsePoly] = []
-    provenance: list[tuple[int, str, int | None, int]] = []
-    seen: set[SparsePoly] = set()
-
-    def push(poly: SparsePoly, prov: tuple[int, str, int | None, int]) -> None:
-        if poly.is_zero() or poly in seen:
-            return
-        seen.add(poly)
-        polys.append(poly)
-        provenance.append(prov)
-
+    polys: dict[SparsePoly, None] = {}  # insertion-ordered set
     for j in sorted(model.outputs):
         eq = io_equation(model, j, mode)
-        d = eq.order
-        for k, poly in enumerate(eq.lhs):
-            push(poly, (j, "lhs", None, d - 1 - k))
-        for i, coeffs in eq.rhs:
-            for k, poly in enumerate(coeffs):
-                order = d - 1 - k
-                if i == j and order == d - 1:
-                    continue  # monic head of u_j
-                push(poly, (j, "rhs", i, order))
+        # each input's list starts with 0, or with the monic 1 of u_j
+        for poly in chain(eq.lhs, *(coeffs[1:] for _, coeffs in eq.rhs)):
+            if not poly.is_zero():
+                polys.setdefault(poly)
     warn = len(model.outputs) > 1 and not (
         graphprops.is_strongly_connected(model) and model.leaks
     )
     return CoefficientMap(
         polys=tuple(polys),
         param_order=tuple(model.params(mode)),
-        provenance=tuple(provenance),
         table=table,
         minimality_warning=warn,
     )

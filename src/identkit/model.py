@@ -9,8 +9,9 @@ Parameter conventions (the most error-prone point of the whole domain):
 * the edge stored as ``(src, dst)`` means flow src -> dst and carries the
   rate parameter ``a[dst][src]`` -- subscripts are (to, from);
 * leak at vertex i carries ``a[0][i]``;
-* in diagonal-generic mode every diagonal entry is an independent parameter
-  ``a[i][i]`` (only legal when every compartment leaks, where the
+* mode ``explicit`` puts -a_0i - (sum of outflows) on the diagonal; in
+  mode ``diag`` (diagonal-generic) every diagonal entry is an independent
+  parameter ``a[i][i]`` (only legal when every compartment leaks, where the
   substitution a_ii = -a_0i - sum of outflows is a bijection).
 """
 
@@ -29,11 +30,6 @@ MAX_VERTICES = 64
 
 MODE_EXPLICIT = "explicit"
 MODE_DIAG = "diag"
-_MODE_ALIASES = {
-    "explicit": MODE_EXPLICIT,
-    "diag": MODE_DIAG,
-    "diagonal-generic": MODE_DIAG,
-}
 
 
 class ModelError(ValueError):
@@ -164,10 +160,9 @@ class CompartmentalModel:
 
 
 def normalize_mode(mode: str) -> str:
-    try:
-        return _MODE_ALIASES[mode]
-    except KeyError:
-        raise ModelError(f"unknown mode {mode!r}; expected 'explicit' or 'diag'") from None
+    if mode not in (MODE_EXPLICIT, MODE_DIAG):
+        raise ModelError(f"unknown mode {mode!r}; expected 'explicit' or 'diag'")
+    return mode
 
 
 def validate(raw: CompartmentalModel) -> CompartmentalModel:
@@ -285,7 +280,6 @@ def load_model(path: str) -> CompartmentalModel:
 class SymbolicMatrix:
     """Square matrix of polynomials over the model's variable table."""
 
-    dim: int
     table: VarTable
     entries: tuple[tuple[SparsePoly, ...], ...]
 
@@ -324,4 +318,4 @@ def compartmental_matrix(
             for dst in model.out_neighbors(v):
                 diag = diag - SparsePoly.var(table, Param.edge(v, dst))
         rows[v - 1][v - 1] = diag
-    return SymbolicMatrix(dim=n, table=table, entries=tuple(tuple(r) for r in rows))
+    return SymbolicMatrix(table=table, entries=tuple(tuple(r) for r in rows))

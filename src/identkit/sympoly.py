@@ -18,7 +18,7 @@ into that form for printing and tests.
 All arithmetic is exact; no floating point appears anywhere in this module.
 :func:`char_poly_coeffs` reads the characteristic polynomial of a matrix and
 any of its signed cofactors from one memoized Laplace expansion of
-``D*I - M``; :func:`determinant` uses the same expansion.
+``D*I - M``.
 :func:`jacobian_at` evaluates the gradients of D-free polynomials at an
 integer point modulo a prime without building any derivative polynomial:
 each packed monomial is split into a low and a high half of slots, and each
@@ -355,15 +355,6 @@ def _laplace(rows: Sequence[Sequence[SparsePoly]], table: VarTable):
         return out
 
     return minor
-
-
-def determinant(rows: Sequence[Sequence[SparsePoly]], table: VarTable) -> SparsePoly:
-    """Determinant of a square matrix of polynomials (memoized Laplace expansion)."""
-    dim = len(rows)
-    if any(len(r) != dim for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    full = (1 << dim) - 1
-    return SparsePoly._of(table, _laplace(rows, table)(full, full))
 
 
 def char_matrix(entries: Sequence[Sequence[SparsePoly]], table: VarTable) -> list[list[SparsePoly]]:

@@ -310,6 +310,22 @@ class TestCheckpointing(object):
         assert row == census_row(3, 3, seed=5, jobs=1)
         assert json.load(open(path))["next_class"] == 4
 
+    def test_a_row_starts_no_more_workers_than_classes(self, monkeypatch):
+        sizes = []
+
+        class SizedPool(multiprocessing.pool.Pool):
+            def __init__(self, processes=None, *args, **kwargs):
+                sizes.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(census_mod, "Pool", SizedPool)
+        assert len(representatives(3, 3)) == 4
+        assert census_row(3, 3, seed=5, jobs=8) == census_row(3, 3, seed=5)
+        assert sizes == [4]
+        assert len(representatives(3, 0)) == 1
+        assert census_row(3, 0, seed=5, jobs=2) == census_row(3, 0, seed=5)
+        assert sizes == [4]  # one class: no pool
+
     def test_checkpoint_of_other_trials_is_ignored(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         census_row(3, 3, seed=5, trials=1, checkpoint_path=path)
@@ -380,6 +396,10 @@ class TestOutputs:
         report = discrepancy_report(4, 5, "expdim_in1_out1", 54, seeds=(0, 1, 2))
         assert calls == [(4, 5)]
         assert report["counts_by_seed"] == {"0": 66, "1": 66, "2": 66}
+
+    def test_discrepancy_report_needs_a_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            discrepancy_report(3, 3, "strongly_connected", 2, seeds=())
 
     def test_cell_members_listing(self):
         hits = cell_members(3, 2, "sioc_in1_out2", seed=0)

@@ -179,7 +179,7 @@ class TestIncidence:
         m = cascade_exchange()
         inc = incidence_matrix(m)
         for col in range(len(m.edges)):
-            vals = [inc.rows[r][col] for r in range(m.n)]
+            vals = [inc[r][col] for r in range(m.n)]
             assert sorted(vals) == [-1] + [0] * (m.n - 2) + [1]
 
     def test_single_edge(self):

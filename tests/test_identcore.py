@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 import sympy
@@ -367,6 +368,28 @@ class TestNecessaryConditions:
         assert is_strongly_input_output_connected(m)
         by_name = {s.name: s.status for s in necessary_conditions(m).screens}
         assert by_name["path-length"] == "certified-unidentifiable"
+
+    def test_screens_are_the_edge_formula(self):
+        """For every labeled digraph with n <= 4 and every i != j with leaks on
+        {i, j}: path-length certifies exactly when the full-leak model fails
+        the edge formula, and direct-edge, where it applies, agrees."""
+        applies = direct = 0
+        for n in range(2, 5):
+            slots = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+            for m in range(len(slots) + 1):
+                for edges in combinations(slots, m):
+                    for i, j in permutations(range(1, n + 1), 2):
+                        model = make_model(n, edges, {i}, {j}, {i, j})
+                        status = {s.name: s.status for s in necessary_conditions(model).screens}
+                        if status["path-length"] == "skipped":
+                            continue
+                        applies += 1
+                        fails = not edge_formula_check(model.with_leaks(model.vertices))
+                        assert (status["path-length"] == "certified-unidentifiable") == fails, model
+                        if status["direct-edge"] != "skipped":
+                            direct += 1
+                            assert status["direct-edge"] == status["path-length"], model
+        assert (applies, direct) == (2834, 2360)
 
 
 class TestEdgeFormula:

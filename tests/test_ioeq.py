@@ -13,10 +13,10 @@ from identkit.ioeq import (
     render_io_equation,
 )
 from identkit.model import MODE_DIAG, MODE_EXPLICIT, Param, compartmental_matrix, make_model
-from identkit.sympoly import SparsePoly, char_matrix, determinant
+from identkit.sympoly import SparsePoly, char_matrix
 
 from conftest import cascade_exchange, fan_in_bypass, random_model, three_cycle
-from oracles import shortest_path_monomials
+from oracles import leibniz_det, shortest_path_monomials
 from test_sympoly import mono, a21, a32, a23, a34, a43, a11, a22, a33, a44
 
 
@@ -122,17 +122,14 @@ class TestCoefficientMapShape:
         assert cm.polys[0] == mono(cm.table, Param.leak(1))
 
     def test_provenance_ordering(self):
-        cm = coefficient_map(cascade_exchange(), MODE_DIAG)
-        sides = [(p[1], p[3]) for p in cm.provenance]
-        assert sides == [
-            ("lhs", 3),
-            ("lhs", 2),
-            ("lhs", 1),
-            ("lhs", 0),
-            ("rhs", 2),
-            ("rhs", 1),
-            ("rhs", 0),
-        ]
+        """The map lists the left-hand side by descending order, then the
+        input's non-monic right-hand side coefficients by descending order."""
+        m = cascade_exchange()
+        cm = coefficient_map(m, MODE_DIAG)
+        eq = io_equation(m, 2, MODE_DIAG)
+        ((i, rhs),) = eq.rhs
+        assert (eq.order, i) == (4, 1) and rhs[0].is_zero()
+        assert cm.polys == eq.lhs + rhs[1:]
 
     def test_minimality_warning_for_multi_output_without_sc(self):
         m = make_model(3, [(1, 2), (1, 3)], {1}, {2, 3}, {1, 2, 3})
@@ -258,14 +255,14 @@ class TestSubgraphEquivalence:
             table = m.vartable(mode)
             full = compartmental_matrix(m, mode, table)
             cm_full = char_matrix(full.entries, table)
-            det_full = determinant(cm_full, table)
+            det_full = leibniz_det(cm_full, table)
 
             keep = sorted(reach)
             sub_entries = [[full.entry(u, v) for v in keep] for u in keep]
-            det_sub = determinant(char_matrix(sub_entries, table), table)
+            det_sub = leibniz_det(char_matrix(sub_entries, table), table)
             rest = sorted(set(m.vertices) - reach)
             rest_entries = [[full.entry(u, v) for v in rest] for u in rest]
-            det_rest = determinant(char_matrix(rest_entries, table), table)
+            det_rest = leibniz_det(char_matrix(rest_entries, table), table)
             assert det_full == det_sub * det_rest, m
 
             pos = {v: idx + 1 for idx, v in enumerate(keep)}
@@ -278,7 +275,7 @@ class TestSubgraphEquivalence:
                     for r in range(len(keep))
                     if r != pos[i] - 1
                 ]
-                minor_sub = determinant(sub_minor, table)
+                minor_sub = leibniz_det(sub_minor, table)
                 if (pos[i] + pos[j]) % 2:
                     minor_sub = -minor_sub
                 full_minor = [
@@ -286,7 +283,7 @@ class TestSubgraphEquivalence:
                     for r in range(m.n)
                     if r != fi - 1
                 ]
-                minor_full = determinant(full_minor, table)
+                minor_full = leibniz_det(full_minor, table)
                 if (fi + fj) % 2:
                     minor_full = -minor_full
                 assert minor_full == minor_sub * det_rest, (m, i, j)
