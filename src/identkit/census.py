@@ -32,14 +32,14 @@ For a representative G with automorphism group Aut(G), the
 ``strongly_connected`` cell adds n!/|Aut(G)| labeled graphs, and a cell with
 k roles adds (n-k)!/|Stab(t)| for each Aut-orbit of ordered role tuples t
 that is a member: that many labeled graphs are G with t relabeled to 1..k.
-One breadth-first search per vertex of G gives its distances, which decide
-strong connectivity and the strong input-output connectivity of every role
-tuple.  A tuple whose bound |E| + |In u Out| exceeds the paper's expected
-coefficient count (``ioeq.coefficient_count`` of its input-output
-distances) ranks below the bound at every point: it is a proof-grade
-non-member and is neither expanded nor ranked.  One expansion of G's
-characteristic matrix gives the cofactors of the other tuples, and one call
-of the rank engine ranks them.
+One reachability closure of G (``graphprops.closure``) gives its
+distances and decides strong connectivity and, by ``graphprops.sioc``, the
+strong input-output connectivity of every role tuple.  A tuple whose bound
+|E| + |In u Out| exceeds the paper's expected coefficient count
+(``ioeq.coefficient_count`` of its input-output distances) ranks below the
+bound at every point: it is a proof-grade non-member and is neither
+expanded nor ranked.  One expansion of G's characteristic matrix gives the
+cofactors of the other tuples, and one call of the rank engine ranks them.
 
 Counting is deterministic for a fixed seed regardless of worker count: each
 class owns an RNG stream derived from (seed, n, m, index of its
@@ -218,34 +218,6 @@ def _tuple_orbits(n: int, k: int, aut) -> dict[tuple[int, ...], int]:
     return orbits
 
 
-def _reach(n: int, edges) -> tuple[list[int], int, list[list[int | float]]]:
-    """Per vertex v (entry v-1), the mask of the vertices v reaches, v
-    included; ``common``, the vertices that every vertex reaches (all of
-    them when the graph is strongly connected); per vertex, its distances."""
-    masks = graphprops.out_masks(n, edges)
-    dist = [graphprops.distances(masks, v) for v in range(1, n + 1)]
-    reach = [sum(1 << u for u, d in enumerate(row) if d != math.inf) for row in dist]
-    common = (1 << n) - 1
-    for r in reach:
-        common &= r
-    return reach, common, dist
-
-
-def _sioc(reach: list[int], common: int, inputs, output: int) -> bool:
-    """Is the graph strongly input-output connected for ``inputs`` and the
-    single ``output``?  This is the characterization that
-    ``graphprops.is_strongly_input_output_connected`` decides, in its
-    single-output form: every vertex reaches the output (it lies in
-    ``common``), and the inputs reach every vertex.  Weak connectivity then
-    follows, and a role tuple needs no reachability sweep of its own."""
-    if not common >> (output - 1) & 1:
-        return False
-    acc = 0
-    for a in inputs:
-        acc |= reach[a - 1]
-    return acc == (1 << len(reach)) - 1
-
-
 def _coefficient_count(n: int, dist, cofactors) -> int:
     """``coefficient_count`` of a role tuple with the cofactor positions
     (input, output): each (i, i) is a compartment that is both, and each
@@ -266,19 +238,19 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
     m = len(edges)
     singles, pairs, triples = (_tuple_orbits(n, k, aut) for k in (1, 2, 3))
     held: dict[str, dict] = {name: {} for name in CELLS}
-    reach, common, dist = _reach(n, edges)
-    sc = common == (1 << n) - 1
+    graph = graphprops.closure(n, edges)
+    sc = graph.common == (1 << n) - 1
     if sc:
         held["strongly_connected"][()] = 1
     if feas["sioc_in1_out2"]:
         held["sioc_in1_out2"] = {
-            (a, b): size for (a, b), size in pairs.items() if _sioc(reach, common, (a,), b)
+            (a, b): size for (a, b), size in pairs.items() if graphprops.sioc(graph, (a,), (b,))
         }
     if feas["sioc_in13_out2"]:
         held["sioc_in13_out2"] = {
             (a, b, c): size
             for (a, b, c), size in triples.items()
-            if _sioc(reach, common, (a, c), b)
+            if graphprops.sioc(graph, (a, c), (b,))
         }
 
     # (cell, role tuple, orbit size, cofactor positions, rank bound) per rank test
@@ -302,7 +274,7 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
     # a tuple whose bound exceeds its coefficient count ranks below the bound
     # at every point: a proof-grade non-member (never so for expdim_in1_out1,
     # whose count 2n - 1 row_feasibility checks)
-    tests = [test for test in tests if test[4] <= _coefficient_count(n, dist, test[3])]
+    tests = [test for test in tests if test[4] <= _coefficient_count(n, graph.dist, test[3])]
     if not tests:
         return held
 

@@ -1,17 +1,23 @@
 """Graph-structural predicates for compartmental models.
 
 All reachability work is done on integer bitmasks (bit v-1 stands for vertex
-v), which keeps the per-graph cost low enough for exhaustive censuses.
-Strong connectivity, strong input-output connectivity and output
-connectability each take one to three reachability sweeps; only the
-inductive strong connectivity search is exponential in n.
+v), which keeps the per-graph cost low enough for exhaustive censuses.  One
+breadth-first search per vertex (``closure``) gives every distance and every
+reach mask of a graph; strong connectivity, strong input-output
+connectivity (``sioc``), output connectability and dist(i, j) are read from
+it, by the census per class and by a model from its memoized
+``CompartmentalModel.closure``.  Only the inductive strong connectivity
+search is exponential in n.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .model import CompartmentalModel, make_model
+
+ISC_STATE_CAP = 500_000  # prefix vertex-sets the inductive-SC search may visit
 
 
 class CapExceeded(RuntimeError):
@@ -32,13 +38,6 @@ def out_masks(n: int, edges) -> list[int]:
     return masks
 
 
-def in_masks(n: int, edges) -> list[int]:
-    masks = [0] * n
-    for s, d in edges:
-        masks[d - 1] |= 1 << (s - 1)
-    return masks
-
-
 def reachable_from(masks: list[int], start_mask: int) -> int:
     """All vertices reachable from the seed set (seed included)."""
     acc = start_mask
@@ -55,36 +54,85 @@ def reachable_from(masks: list[int], start_mask: int) -> int:
     return acc
 
 
-def distances(masks: list[int], v: int) -> list[int | float]:
-    """Per vertex u (entry u-1), the length of the shortest directed path
-    v -> u: 0 for v itself, math.inf when u is unreachable."""
-    out: list[int | float] = [math.inf] * len(masks)
-    seen = frontier = 1 << (v - 1)
-    steps = 0
-    while frontier:
-        new = 0
+class Closure(NamedTuple):
+    """Reachability of a graph on vertices 1..n, per vertex v at entry v-1."""
+
+    reach: list[int]  # the mask of the vertices v reaches, v included
+    common: int  # the vertices every vertex reaches: all when strongly connected
+    dist: list[list[int | float]]  # per u, the length of a shortest path v -> u; math.inf if none
+
+
+def closure(n: int, edges) -> Closure:
+    """One breadth-first search per vertex."""
+    masks = out_masks(n, edges)
+    reach, dist = [], []
+    common = (1 << n) - 1
+    for v in range(n):
+        row: list[int | float] = [math.inf] * n
+        seen = frontier = 1 << v
+        steps = 0
         while frontier:
-            low = frontier & (-frontier)
-            u = low.bit_length() - 1
-            out[u] = steps
-            new |= masks[u]
-            frontier ^= low
-        frontier = new & ~seen
-        seen |= new
-        steps += 1
-    return out
+            new = 0
+            while frontier:
+                low = frontier & (-frontier)
+                u = low.bit_length() - 1
+                row[u] = steps
+                new |= masks[u]
+                frontier ^= low
+            frontier = new & ~seen
+            seen |= new
+            steps += 1
+        reach.append(seen)
+        dist.append(row)
+        common &= seen
+    return Closure(reach, common, dist)
 
 
-def strongly_connected_raw(n: int, edges) -> bool:
-    return induced_strongly_connected(out_masks(n, edges), (1 << n) - 1)
+def _reaches_outputs(graph: Closure, outputs) -> bool:
+    """Does every vertex reach one of ``outputs``?"""
+    if len(outputs) == 1:
+        (o,) = outputs
+        return graph.common >> (o - 1) & 1 == 1
+    out = sum(1 << (o - 1) for o in outputs)
+    return all(r & out for r in graph.reach)
 
 
-def weakly_connected_raw(n: int, edges) -> bool:
-    sym = [0] * n
-    for s, d in edges:
-        sym[s - 1] |= 1 << (d - 1)
-        sym[d - 1] |= 1 << (s - 1)
-    return reachable_from(sym, 1) == (1 << n) - 1
+def sioc(graph: Closure, inputs, outputs) -> bool:
+    """Is the graph strongly input-output connected for ``inputs`` and
+    ``outputs``: connected, and every edge on a simple directed cycle or on
+    a simple directed path from an input to an output?
+
+    Decided as: every vertex reaches an output, the inputs reach every
+    vertex, and the graph is weakly connected, which the first two imply
+    when there is one input or one output.  These suffice: for an edge
+    u -> v take shortest paths P from an input to u and Q from v to an
+    output; if P and Q are disjoint, P, uv, Q is a simple input-output path;
+    otherwise v reaches u through a shared vertex, and uv with a shortest
+    path from v to u is a simple cycle.  They are necessary: with the edges
+    output -> input added, every edge lies on a cycle, so the connected
+    augmented graph is strongly connected, and cutting its paths at the
+    added edges gives both reachabilities in the graph.
+    """
+    if not _reaches_outputs(graph, outputs):
+        return False
+    reach = graph.reach
+    full = (1 << len(reach)) - 1
+    acc = 0
+    for i in inputs:
+        acc |= reach[i - 1]
+    if acc != full:
+        return False
+    if len(inputs) == 1 or len(outputs) == 1:
+        return True
+    # the weak component of vertex 1: every reach mask that meets it lies in it
+    comp, grown = reach[0], True
+    while grown:
+        grown = False
+        for r in reach:
+            if r & comp and r & ~comp:
+                comp |= r
+                grown = True
+    return comp == full
 
 
 def induced_strongly_connected(masks: list[int], member_mask: int) -> bool:
@@ -106,76 +154,47 @@ def induced_strongly_connected(masks: list[int], member_mask: int) -> bool:
     return reachable_from(back, start) == member_mask
 
 
-# -- predicates on models -------------------------------------------------
+# -- predicates on models: reads of the model's closure ---------------------
 
 
 def is_strongly_connected(model: CompartmentalModel) -> bool:
-    return strongly_connected_raw(model.n, model.edges)
+    return model.closure.common == (1 << model.n) - 1
 
 
 def output_reachable_set(model: CompartmentalModel, j: int) -> frozenset[int]:
     """Vertices with a directed path to output j (j itself included)."""
     if j not in model.outputs:
         raise PreconditionViolated(f"vertex {j} is not an output")
-    bwd = in_masks(model.n, model.edges)
-    mask = reachable_from(bwd, 1 << (j - 1))
-    return frozenset(b + 1 for b in range(model.n) if mask >> b & 1)
+    return frozenset(v for v, r in enumerate(model.closure.reach, 1) if r >> (j - 1) & 1)
 
 
 def is_output_connectable(model: CompartmentalModel) -> bool:
     """Every compartment has a directed path to some output."""
-    bwd = in_masks(model.n, model.edges)
-    seed = 0
-    for j in model.outputs:
-        seed |= 1 << (j - 1)
-    return reachable_from(bwd, seed) == (1 << model.n) - 1
+    return _reaches_outputs(model.closure, model.outputs)
 
 
 def is_output_connectable_to_every_output(model: CompartmentalModel) -> bool:
-    bwd = in_masks(model.n, model.edges)
-    full = (1 << model.n) - 1
-    return all(reachable_from(bwd, 1 << (j - 1)) == full for j in model.outputs)
+    return all(model.closure.common >> (o - 1) & 1 for o in model.outputs)
 
 
 def dist(model: CompartmentalModel, i: int, j: int) -> int | float:
     """Length of the shortest directed path i -> j; math.inf if unreachable."""
-    return distances(out_masks(model.n, model.edges), i)[j - 1]
+    return model.closure.dist[i - 1][j - 1]
 
 
 def is_strongly_input_output_connected(model: CompartmentalModel) -> bool:
-    """Connected, and every edge lies on a simple directed cycle or on a
-    simple directed path from an input to an output.
-
-    Decided as: the graph is weakly connected, the inputs reach every
-    compartment, and every compartment reaches an output.  These suffice:
-    for an edge u -> v take shortest paths P from an input to u and Q from v
-    to an output; if P and Q are disjoint, P, uv, Q is a simple input-output
-    path; otherwise v reaches u through a shared vertex, and uv with a
-    shortest path from v to u is a simple cycle.  They are necessary: with
-    the edges output -> input added, every edge lies on a cycle, so the
-    connected augmented graph is strongly connected, and cutting its paths
-    at the added edges gives both reachabilities in the graph.
-    """
-    n, edges = model.n, model.edges
-    seed = 0
-    for i in model.inputs:
-        seed |= 1 << (i - 1)
-    return (
-        weakly_connected_raw(n, edges)
-        and reachable_from(out_masks(n, edges), seed) == (1 << n) - 1
-        and is_output_connectable(model)
-    )
+    return sioc(model.closure, model.inputs, model.outputs)
 
 
 def is_inductively_strongly_connected(
-    model: CompartmentalModel, start: int, node_cap: int = 500_000
+    model: CompartmentalModel, start: int
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Does some vertex ordering starting at ``start`` keep every
     prefix-induced subgraph strongly connected?
 
     Explores prefix vertex-sets breadth-first (the SC property of a prefix
     depends only on the set, not the order), so at most 2^n states are
-    visited; ``node_cap`` bounds the state count for larger graphs.
+    visited; ``ISC_STATE_CAP`` bounds the state count for larger graphs.
     """
     n = model.n
     if not 1 <= start <= n:
@@ -202,8 +221,8 @@ def is_inductively_strongly_connected(
                     visited.add(new)
                     parents[new] = (state, v + 1)
                     next_level.add(new)
-                    if len(visited) > node_cap:
-                        raise CapExceeded(f"inductive-SC search exceeded {node_cap} states")
+                    if len(visited) > ISC_STATE_CAP:
+                        raise CapExceeded(f"inductive-SC search exceeded {ISC_STATE_CAP} states")
         level = next_level
     if full not in visited:
         return False, None

@@ -164,10 +164,6 @@ class ConditionResult:
 class NecessaryConditions:
     screens: tuple[ConditionResult, ...]
 
-    @property
-    def certified_unidentifiable(self) -> bool:
-        return any(s.status == "certified-unidentifiable" for s in self.screens)
-
     def to_dict(self) -> dict:
         return {s.name: {"status": s.status, "detail": s.detail} for s in self.screens}
 
@@ -201,7 +197,8 @@ def necessary_conditions(model: CompartmentalModel) -> NecessaryConditions:
     # in = out with the maximal 2|V|-2 edges: an exchange is mandatory
     in_is_out = len(model.inputs) == 1 and model.inputs == model.outputs
     if in_is_out and ne == 2 * n - 2 and nl == 1 and graphprops.is_strongly_connected(model):
-        has_exchange = any((d, s) in model._edge_set for s, d in model.edges)
+        edges = set(model.edges)
+        has_exchange = any((d, s) in edges for s, d in model.edges)
         if has_exchange:
             screens.append(ConditionResult("exchange", "inconclusive", "an exchange is present"))
         else:
@@ -328,8 +325,6 @@ def classify_identifiability(
     bound = len(model.edges) + len(model.in_union_out) if tier else None
     rank = jacobian_rank(cmap, seed, trials, bound if full_leaks else None)
     param_count = len(cmap.param_order)
-    sioc = graphprops.is_strongly_input_output_connected(model)
-    sc = graphprops.is_strongly_connected(model)
     conditions = necessary_conditions(model)
     if bound is not None and full_leaks and rank > bound:
         raise AssertionError(
@@ -357,8 +352,8 @@ def classify_identifiability(
         expected_dimension_bound=bound,
         bound_tier=tier,
         verdict=verdict,
-        strongly_connected=sc,
-        strongly_input_output_connected=sioc,
+        strongly_connected=graphprops.is_strongly_connected(model),
+        strongly_input_output_connected=graphprops.is_strongly_input_output_connected(model),
         output_connectable=graphprops.is_output_connectable(model),
         minimality_warning=cmap.minimality_warning,
         conditions=conditions,

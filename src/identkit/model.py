@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .sympoly import SparsePoly, VarTable
@@ -112,12 +113,13 @@ class CompartmentalModel:
     def in_union_out(self) -> frozenset[int]:
         return self.inputs | self.outputs
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._edge_set
+    @cached_property
+    def closure(self):
+        """The reachability closure of the graph (``graphprops.closure``),
+        built on first use; every graph predicate reads it."""
+        from .graphprops import closure  # graphprops imports this module
 
-    @property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+        return closure(self.n, self.edges)
 
     def out_neighbors(self, v: int) -> list[int]:
         return [d for s, d in self.edges if s == v]
@@ -300,7 +302,7 @@ def compartmental_matrix(
     """
     mode = normalize_mode(mode)
     if mode == MODE_DIAG and model.leaks != frozenset(model.vertices):
-        raise ModeRequiresFullLeaks("diagonal-generic mode requires a leak in every compartment")
+        raise ModeRequiresFullLeaks("diag mode requires a leak in every compartment")
     if table is None:
         table = model.vartable(mode)
     n = model.n

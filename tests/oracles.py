@@ -349,13 +349,32 @@ def expdim_in1_out1_members(n: int, m: int, value_bound: int = 10**6):
 def sioc_via_augmentation(n: int, edges, inputs, outputs) -> bool:
     """Strong-connectivity test of the graph augmented with output->input
     edges; equivalent to the definitional check when |In| = 1 or |Out| = 1.
-    One DFS per call, independent of the census's shared closure."""
+    Two sweeps per call, independent of ``graphprops.closure``."""
     if len(inputs) != 1 and len(outputs) != 1:
         raise graphprops.PreconditionViolated(
             "augmentation shortcut needs a single input or a single output"
         )
     extra = tuple((j, i) for j in outputs for i in inputs if j != i)
-    return graphprops.strongly_connected_raw(n, tuple(edges) + extra)
+    return strongly_connected_raw(n, tuple(edges) + extra)
+
+
+def strongly_connected_raw(n: int, edges) -> bool:
+    """Strong connectivity by two depth-first sweeps from vertex 1, over the
+    edges and over the reversed edges, on adjacency lists; independent of
+    ``graphprops``'s bitmask closure."""
+    for pairs in (edges, [(d, s) for s, d in edges]):
+        succ = {v: [] for v in range(1, n + 1)}
+        for s, d in pairs:
+            succ[s].append(d)
+        seen, stack = {1}, [1]
+        while stack:
+            for d in succ[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        if len(seen) != n:
+            return False
+    return True
 
 
 def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None):
@@ -372,7 +391,7 @@ def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dic
     1, 2 and 3; keys follow CELLS."""
     m = len(edges)
     out = {name: False for name in CELLS}
-    sc = graphprops.strongly_connected_raw(n, edges)
+    sc = strongly_connected_raw(n, edges)
     out["strongly_connected"] = sc
     if feas["sioc_in1_out2"]:
         out["sioc_in1_out2"] = sioc_via_augmentation(n, edges, (1,), (2,))

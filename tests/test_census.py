@@ -28,7 +28,7 @@ from identkit.census import (
     write_csv,
     write_sidecar,
 )
-from identkit.graphprops import strongly_connected_raw
+from identkit.graphprops import closure, sioc
 from identkit.identcore import jacobian_rank
 from identkit.ioeq import coefficient_count, coefficient_map
 from identkit.model import compartmental_matrix, make_model
@@ -40,6 +40,7 @@ from oracles import (
     labeled_census,
     labeled_representatives,
     sioc_via_augmentation,
+    strongly_connected_raw,
 )
 
 SLOW_ENABLED = os.environ.get("IDENTKIT_RUN_SLOW_CENSUS") == "1"
@@ -123,14 +124,14 @@ class TestIsomorphismClasses:
 def _expdim_tuples(n, edges):
     """Cofactor positions of each role tuple whose expected dimension the
     census decides on the graph, in every cell, feasible or not."""
-    reach, common, _ = census_mod._reach(n, edges)
+    graph = closure(n, edges)
     vs = range(1, n + 1)
-    if common == (1 << n) - 1:
+    if graph.common == (1 << n) - 1:
         yield from (((a, a),) for a in vs)
         yield from (((a, b), (a, c)) for a, b, c in permutations(vs, 3))
-    yield from (((a, b),) for a, b in permutations(vs, 2) if census_mod._sioc(reach, common, (a,), b))
+    yield from (((a, b),) for a, b in permutations(vs, 2) if sioc(graph, (a,), (b,)))
     for a, b, c in permutations(vs, 3):
-        if census_mod._sioc(reach, common, (a, c), b):
+        if sioc(graph, (a, c), (b,)):
             yield ((a, b), (c, b))
 
 
@@ -148,7 +149,7 @@ def _check_coefficient_counts(n, m):
             for k, pos in enumerate(positions)
         }
         d = floyd_warshall(n, edges)
-        dist = census_mod._reach(n, edges)[2]
+        dist = closure(n, edges).dist
         for cofactors in _expdim_tuples(n, edges):
             dists = [d[pos] for pos in cofactors if pos[0] != pos[1]]
             count = coefficient_count(n, dists, len(cofactors) - len(dists))
@@ -165,14 +166,14 @@ class TestProvenAnswers:
         for n in range(1, 5):
             for m in range(n * (n - 1) + 1):
                 for edges in enumerate_graphs(n, m):
-                    reach, common, _ = census_mod._reach(n, edges)
-                    assert (common == (1 << n) - 1) == strongly_connected_raw(n, edges), edges
+                    graph = closure(n, edges)
+                    assert (graph.common == (1 << n) - 1) == strongly_connected_raw(n, edges), edges
                     for a, b in permutations(range(1, n + 1), 2):
                         expected = sioc_via_augmentation(n, edges, (a,), (b,))
-                        assert census_mod._sioc(reach, common, (a,), b) == expected, (edges, a, b)
+                        assert sioc(graph, (a,), (b,)) == expected, (edges, a, b)
                     for a, b, c in permutations(range(1, n + 1), 3):
                         expected = sioc_via_augmentation(n, edges, (a, c), (b,))
-                        assert census_mod._sioc(reach, common, (a, c), b) == expected, (edges, a, b, c)
+                        assert sioc(graph, (a, c), (b,)) == expected, (edges, a, b, c)
 
     def test_coefficient_count_matches_nonconstant_rows(self):
         for n, m in SMALL_ROWS:

@@ -95,11 +95,15 @@ class TestAnalyze:
         assert exc.value.code == 2
 
     def test_diag_mode_needs_full_leaks(self, capsys):
-        code, _ = run(
+        code, out = run(
             capsys,
-            "analyze", "--model", fixture("fan_in.json"), "--mode", "diag",
+            "analyze", "--model", fixture("fan_in.json"), "--mode", "diag", "--format", "json",
         )
         assert code == 1
+        assert json.loads(out) == {
+            "error": "ModeRequiresFullLeaks",
+            "message": "diag mode requires a leak in every compartment",
+        }
 
     def test_zero_trials_rejected(self, capsys):
         code, out = run(

@@ -10,17 +10,18 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+import identkit.graphprops as graphprops
 from identkit.census import edge_slots
 from identkit.graphprops import (
+    CapExceeded,
     PreconditionViolated,
+    closure,
     dist,
-    distances,
     is_inductively_strongly_connected,
     is_output_connectable,
     is_output_connectable_to_every_output,
     is_strongly_connected,
     is_strongly_input_output_connected,
-    out_masks,
     output_reachable_set,
     satisfies_almost_isc,
 )
@@ -232,7 +233,7 @@ class TestDist:
                 for j in m.vertices:
                     dij = dist(m, i, j)
                     if i != j:
-                        assert (dij == 1) == m.has_edge(i, j)
+                        assert (dij == 1) == ((i, j) in m.edges)
                     for k in m.vertices:
                         assert dist(m, i, k) <= dij + dist(m, j, k)
 
@@ -240,9 +241,9 @@ class TestDist:
         for _ in range(200):
             m = random_model(rng, n_range=(1, 7))
             expected = floyd_warshall(m.n, m.edges)
-            masks = out_masks(m.n, m.edges)
+            rows = closure(m.n, m.edges).dist
             for v in m.vertices:
-                assert distances(masks, v) == [expected[v, u] for u in m.vertices], m
+                assert rows[v - 1] == [expected[v, u] for u in m.vertices], m
 
 
 class TestInductivelyStronglyConnected:
@@ -261,6 +262,15 @@ class TestInductivelyStronglyConnected:
         )
         ok, order = is_inductively_strongly_connected(m, 1)
         assert ok and order == (1, 2, 3, 4)
+
+    def test_state_cap(self, monkeypatch):
+        """The complete 3-vertex digraph visits 4 prefix sets from vertex 1."""
+        m = make_model(3, [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j], {1}, {1})
+        monkeypatch.setattr(graphprops, "ISC_STATE_CAP", 3)
+        with pytest.raises(CapExceeded):
+            is_inductively_strongly_connected(m, 1)
+        monkeypatch.setattr(graphprops, "ISC_STATE_CAP", 4)
+        assert is_inductively_strongly_connected(m, 1) == (True, (1, 2, 3))
 
     def test_witness_ordering_is_valid(self, rng):
         from identkit.graphprops import induced_strongly_connected, out_masks

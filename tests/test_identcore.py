@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 import sympy
 
+import identkit.graphprops as graphprops
 import identkit.identcore as identcore
 from identkit.identcore import (
     DEFAULT_TRIALS,
@@ -31,6 +32,7 @@ from identkit.sympoly import SparsePoly, VarTable
 
 from conftest import (
     cascade_exchange,
+    dual_io_hub,
     fan_in,
     fan_in_bypass,
     random_model,
@@ -254,6 +256,23 @@ class TestClassify:
         rep = classify_identifiability(m, seed=0)
         assert rep.minimality_warning and rep.verdict == "not-applicable"
 
+    def test_one_closure_per_analysis(self, monkeypatch):
+        """Every graph predicate of one analysis (bound tier, screens,
+        coefficient map and flags) reads the model's one closure."""
+        real, calls = graphprops.closure, []
+        monkeypatch.setattr(graphprops, "closure", lambda *args: calls.append(1) or real(*args))
+        models = [
+            cascade_exchange(),  # path-cycle tier
+            cascade_exchange().with_leaks({1, 2}),  # path-length screen
+            make_model(3, [(1, 2), (2, 3), (3, 1), (2, 1)], {1}, {1}, {1}),  # exchange screen
+            fan_in(),  # output-connectable tier
+            dual_io_hub(),  # two outputs: the minimality check
+        ]
+        for m in models:
+            calls.clear()
+            classify_identifiability(m, seed=0)
+            assert len(calls) == 1, m
+
     def test_report_serialization(self):
         doc = classify_identifiability(cascade_exchange(), seed=3).to_dict()
         assert doc["verdict"] == "expected-dimension"
@@ -326,7 +345,6 @@ class TestNecessaryConditions:
     def test_leak_count_excess(self):
         m = cascade_exchange().with_leaks({1, 2, 3})
         res = necessary_conditions(m)
-        assert res.certified_unidentifiable
         assert [s.status for s in res.screens if s.name == "leak-count"] == [
             "certified-unidentifiable"
         ]
@@ -345,7 +363,6 @@ class TestNecessaryConditions:
     def test_identifiable_model_is_inconclusive(self):
         m = cascade_exchange().with_leaks({1, 2})
         res = necessary_conditions(m)
-        assert not res.certified_unidentifiable
         assert {s.status for s in res.screens} <= {"inconclusive", "skipped"}
 
     def test_exchange_screen(self):
