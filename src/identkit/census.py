@@ -46,7 +46,7 @@ class owns an RNG stream derived from (seed, n, m, index of its
 representative among the labeled graphs), and aggregation is plain
 addition.  A checkpoint block is a run of ``CHECKPOINT_EVERY`` consecutive
 classes in index order; worker k of a block takes its classes k,
-k + jobs, ...
+k + jobs, ..., and ``_eval_chunk`` evaluates and weights them.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from multiprocessing import Pool
 from operator import or_
 
 from . import graphprops
-from .identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
+from .identcore import DEFAULT_TRIALS, check_trials, derived_rng, jacobian_ranks
 from .ioeq import coefficient_count
 from .model import ModelError, compartmental_matrix, make_model, read_json
 from .sympoly import char_poly_coeffs
@@ -301,25 +301,18 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
     return held
 
 
-def _classes(n: int, m: int, seed: int, trials: int, classes, cells=CELLS):
-    """(graph index, edges, Aut, member orbits per cell) for each of the
-    ``classes``, given as ``representatives`` gives them; each class's RNG
-    stream is keyed by (seed, n, m, index of its representative).  Only the
-    ``cells`` are evaluated; the others are left empty."""
-    feas = {name: ok and name in cells for name, ok in row_feasibility(n, m).items()}
-    for idx, edges, aut in classes:
-        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
-        yield idx, edges, aut, _evaluate_class(n, edges, aut, rng, feas, trials)
-
-
 def _eval_chunk(args) -> list[int]:
     """Cell counts of the labeled graphs isomorphic to the ``classes`` of
-    ``args``: a class adds, per member orbit of role k-tuples with
-    stabiliser size s, (n - k)!/s labeled graphs, where s = |Aut| / orbit
-    size."""
+    ``args``, given as ``representatives`` gives them.  Each class's RNG
+    stream is keyed by (seed, n, m, index of its representative).  A class
+    adds, per member orbit of role k-tuples with stabiliser size s,
+    (n - k)!/s labeled graphs, where s = |Aut| / orbit size."""
     n, m, classes, seed, trials = args
+    feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
-    for _, _, aut, held in _classes(n, m, seed, trials, classes):
+    for idx, edges, aut in classes:
+        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
+        held = _evaluate_class(n, edges, aut, rng, feas, trials)
         for pos, name in enumerate(CELLS):
             for t, size in held[name].items():
                 counts[pos] += math.factorial(n - len(t)) * size // len(aut)
@@ -336,8 +329,7 @@ def check_row(n: int, m: int, trials: int, jobs: int = 1) -> None:
         raise ModelError(f"n={n} outside 1..{MAX_N}")
     if not 0 <= m <= n * (n - 1):
         raise ModelError(f"m={m} outside 0..{n * (n - 1)} for n={n}")
-    if trials < 1:
-        raise ModelError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     if jobs < 1:
         raise ModelError(f"jobs must be at least 1, got {jobs}")
 
@@ -478,81 +470,3 @@ def _graph_index(slot_ids, slot_count: int) -> int:
         low = k + 1
     return rank
 
-
-def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT_TRIALS):
-    """Labeled graph indices (and edge sets) counted in one cell, in index
-    order; debugging aid for discrepancy reports.
-
-    Relabeling a class representative G by p gives the labeled graph p(G),
-    whose role tuple (1..k) is p^-1(1..k) in G; p(G) is a member when that
-    tuple lies in a member orbit of G.
-    """
-    return sorted(_members_by_seed(n, m, cell, (seed,), trials)[seed].items())
-
-
-def _members_by_seed(n: int, m: int, cell: str, seeds, trials: int) -> dict:
-    """Per seed, the members of ``cell`` as {labeled index: edges}, from one
-    generation of the row's classes."""
-    if cell not in CELLS:
-        raise ValueError(f"unknown cell {cell!r}")
-    check_row(n, m, trials)
-    slots = edge_slots(n)
-    slot_of = {e: k for k, e in enumerate(slots)}
-    # an expdim cell with an output 2 ranks only the tuples of its sioc cell
-    cells = (cell, {"expdim_in1_out2": "sioc_in1_out2", "expdim_in13_out2": "sioc_in13_out2"}.get(cell))
-    classes = representatives(n, m)
-    by_seed = {}
-    for seed in seeds:
-        members = {}
-        for _, edges, aut, held in _classes(n, m, seed, trials, classes, cells):
-            if not held[cell]:
-                continue
-            k = len(next(iter(held[cell])))
-            tuples = {tuple(p[v] for v in t) for t in held[cell] for p in aut}
-            for p in _permutations(n):
-                inverse = sorted(range(n + 1), key=p.__getitem__)
-                if tuple(inverse[1 : k + 1]) in tuples:
-                    image = tuple(sorted((p[i], p[j]) for i, j in edges))
-                    idx = _graph_index([slot_of[e] for e in image], len(slots))
-                    members[idx] = image
-        by_seed[seed] = members
-    return by_seed
-
-
-def discrepancy_report(
-    n: int,
-    m: int,
-    cell: str,
-    expected: int,
-    seeds=(0, 1, 2),
-    trials: int = DEFAULT_TRIALS,
-    sample: int = 50,
-) -> dict:
-    """Evidence bundle for a cell that disagrees with a reference count.
-
-    Re-counts the cell under several independent seeds and lists sample member
-    graphs with their per-seed membership, so a stable disagreement can be
-    distinguished from a random-evaluation artifact.
-    """
-    if not seeds:
-        raise ValueError("discrepancy_report needs at least one seed")
-    per_seed_members = _members_by_seed(n, m, cell, seeds, trials)
-    counts = {s: len(v) for s, v in per_seed_members.items()}
-    union = sorted(set().union(*per_seed_members.values()))
-    unstable = [
-        idx for idx in union if not all(idx in per_seed_members[s] for s in seeds)
-    ]
-    base = per_seed_members[seeds[0]]
-    return {
-        "n": n,
-        "m": m,
-        "cell": cell,
-        "expected": expected,
-        "counts_by_seed": {str(s): counts[s] for s in seeds},
-        "stable_across_seeds": not unstable,
-        "seed_unstable_graphs": unstable,
-        "sample_members": [
-            {"index": idx, "edges": [list(e) for e in base[idx]]}
-            for idx in sorted(base)[:sample]
-        ],
-    }

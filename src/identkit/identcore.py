@@ -48,6 +48,12 @@ def derived_rng(seed: int, *key_parts: str) -> random.Random:
     return random.Random(int.from_bytes(h.digest()[:8], "big"))
 
 
+def check_trials(trials: int) -> None:
+    """ModelError unless trials is at least 1."""
+    if trials < 1:
+        raise ModelError(f"trials must be at least 1, got {trials}")
+
+
 def random_point(table: VarTable, rng: random.Random) -> tuple[int, ...]:
     """Parameter values drawn uniformly from nonzero integers in [-10^4, 10^4],
     so none vanishes mod a prime above 2^61."""
@@ -117,8 +123,7 @@ def jacobian_ranks(
     bound on the rank over Q, so a full rank is proof-grade; a deficit rests
     on the random point (Schwartz-Zippel).
     """
-    if trials < 1:
-        raise ModelError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     best = [0] * len(subsets)
     for t in range(trials):
         pending = [k for k, (_, target) in enumerate(subsets) if best[k] < target]

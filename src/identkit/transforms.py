@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import graphprops, identcore
 from .identcore import HypothesesNotMet
+from .ioeq import coefficient_map
 from .model import MAX_VERTICES, CompartmentalModel, ModelError, VertexOutOfRange, is_int_list, make_model
 
 
@@ -52,6 +53,7 @@ def remove_leaks(
     whose identifiability must be decided by rank analysis (placement
     matters: equal-size leak sets can differ in identifiability).
     """
+    identcore.check_trials(trials)
     keep = frozenset(keep)
     if not keep <= model.leaks:
         raise KeepNotSubsetOfLeak(f"keep set {sorted(keep)} is not a subset of the leak set")
@@ -91,6 +93,7 @@ def add_leak(
     coefficient-map dimension |E|+|In u Out| (under a certifying connectivity
     tier), the enlarged model keeps that dimension.
     """
+    identcore.check_trials(trials)
     if k in model.leaks:
         raise AlreadyLeak(f"vertex {k} already has a leak")
     new_model = model.with_leaks(model.leaks | {k})
@@ -99,9 +102,7 @@ def add_leak(
         tier = identcore.bound_tier(model)
         if tier is not None:
             bound = len(model.edges) + len(model.in_union_out)
-            rank = identcore.jacobian_rank(
-                identcore.coefficient_map(model, "explicit"), seed, trials
-            )
+            rank = identcore.jacobian_rank(coefficient_map(model, "explicit"), seed, trials)
             if rank == bound:
                 cert = TheoremCertificate(
                     claim=f"leak addition preserves coefficient-map dimension {bound}",
@@ -131,6 +132,7 @@ def attach_path(
     reaches expected dimension, the attachment provably preserves expected
     dimension, and this is recorded as a certificate.
     """
+    identcore.check_trials(trials)
     if s < 1:
         raise ModelError(f"path length s must be >= 1, got {s}")
     for v in (k, l):

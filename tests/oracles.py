@@ -3,7 +3,8 @@
 Everything here recomputes a quantity by a route disjoint from the library's
 implementation (permutation expansions, exhaustive enumerations, dense
 closures) so golden values in the tests are frozen against these, not against
-the code under test.
+the code under test.  The one exception is the census evidence section, which
+lists the labeled members behind the census's own class verdicts.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from identkit import graphprops
+from identkit import census, graphprops
 from identkit.census import CELLS, edge_slots, row_feasibility
-from identkit.identcore import derived_rng, jacobian_ranks
+from identkit.identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
 from identkit.model import CompartmentalModel, Param, compartmental_matrix, make_model
 from identkit.sympoly import SparsePoly, VarTable, char_poly_coeffs
 
@@ -481,6 +482,91 @@ def labeled_census(n: int, m: int, seed: int = 0, trials: int = 3) -> dict[str, 
             if bit:
                 members[name].append(idx)
     return {name: tuple(members[name]) if feas[name] else None for name in CELLS}
+
+
+# -- census evidence ---------------------------------------------------------
+#
+# Not independent: these expand the census's own class verdicts to labeled
+# graphs, so that a disputed cell can be listed graph by graph and compared
+# with the oracles above.
+
+
+def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT_TRIALS):
+    """Labeled graph indices (and edge sets) that the census counts in one
+    cell, in index order.
+
+    Relabeling a class representative G by p gives the labeled graph p(G),
+    whose role tuple (1..k) is p^-1(1..k) in G; p(G) is a member when that
+    tuple lies in a member orbit of G.
+    """
+    return sorted(_members_by_seed(n, m, cell, (seed,), trials)[seed].items())
+
+
+def _members_by_seed(n: int, m: int, cell: str, seeds, trials: int) -> dict:
+    """Per seed, the members of ``cell`` as {labeled index: edges}, from one
+    generation of the row's classes; each class draws from the census's own
+    stream, keyed by (seed, n, m, index of its representative)."""
+    if cell not in CELLS:
+        raise ValueError(f"unknown cell {cell!r}")
+    census.check_row(n, m, trials)
+    slots = edge_slots(n)
+    slot_of = {e: k for k, e in enumerate(slots)}
+    # an expdim cell with an output 2 ranks only the tuples of its sioc cell
+    wanted = (cell, {"expdim_in1_out2": "sioc_in1_out2", "expdim_in13_out2": "sioc_in13_out2"}.get(cell))
+    feas = {name: ok and name in wanted for name, ok in row_feasibility(n, m).items()}
+    classes = census.representatives(n, m)
+    by_seed = {}
+    for seed in seeds:
+        members = {}
+        for idx, edges, aut in classes:
+            rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
+            held = census._evaluate_class(n, edges, aut, rng, feas, trials)[cell]
+            if not held:
+                continue
+            k = len(next(iter(held)))
+            tuples = {tuple(p[v] for v in t) for t in held for p in aut}
+            for p in census._permutations(n):
+                inverse = sorted(range(n + 1), key=p.__getitem__)
+                if tuple(inverse[1 : k + 1]) in tuples:
+                    image = tuple(sorted((p[i], p[j]) for i, j in edges))
+                    members[census._graph_index([slot_of[e] for e in image], len(slots))] = image
+        by_seed[seed] = members
+    return by_seed
+
+
+def discrepancy_report(
+    n: int,
+    m: int,
+    cell: str,
+    expected: int,
+    seeds=(0, 1, 2),
+    trials: int = DEFAULT_TRIALS,
+    sample: int = 50,
+) -> dict:
+    """Evidence bundle for a cell that disagrees with a reference count.
+
+    Re-counts the cell under several independent seeds and lists sample member
+    graphs with their per-seed membership, so a stable disagreement can be
+    distinguished from a random-evaluation artifact.
+    """
+    if not seeds:
+        raise ValueError("discrepancy_report needs at least one seed")
+    per_seed_members = _members_by_seed(n, m, cell, seeds, trials)
+    union = sorted(set().union(*per_seed_members.values()))
+    unstable = [idx for idx in union if not all(idx in per_seed_members[s] for s in seeds)]
+    base = per_seed_members[seeds[0]]
+    return {
+        "n": n,
+        "m": m,
+        "cell": cell,
+        "expected": expected,
+        "counts_by_seed": {str(s): len(per_seed_members[s]) for s in seeds},
+        "stable_across_seeds": not unstable,
+        "seed_unstable_graphs": unstable,
+        "sample_members": [
+            {"index": idx, "edges": [list(e) for e in base[idx]]} for idx in sorted(base)[:sample]
+        ],
+    }
 
 
 # -- derivatives by sympy ----------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from identkit.census import CELLS, census_row, cell_members, discrepancy_report
+from identkit.census import CELLS, census_row
 from identkit.identcore import classify_identifiability, jacobian_rank
 from identkit.ioeq import coefficient_map
 from identkit.model import MODE_DIAG
@@ -48,7 +48,7 @@ from conftest import (
     star_prime,
     star_two_exchanges,
 )
-from oracles import expdim_in1_out1_members, labeled_census
+from oracles import cell_members, discrepancy_report, expdim_in1_out1_members, labeled_census
 
 SLOW_ENABLED = os.environ.get("IDENTKIT_RUN_SLOW_CENSUS") == "1"
 
@@ -175,6 +175,29 @@ def test_criterion_1_erratum_4_5_members_match_oracle():
         exact = [idx for idx, _ in expdim_in1_out1_members(4, 5)]
         assert census == exact
         assert len(exact) == 66
+
+
+SLOW_TIER = [
+    pytest.mark.slow,
+    pytest.mark.skipif(not SLOW_ENABLED, reason="set IDENTKIT_RUN_SLOW_CENSUS=1 to run the n=5 tier"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,m,cell,expected",
+    [
+        (4, 5, "expdim_in1_out1", 54),
+        pytest.param(5, 6, "expdim_in13_out2", 1110, marks=SLOW_TIER),
+        pytest.param(5, 7, "expdim_in13_out2", 1552, marks=SLOW_TIER),
+    ],
+)
+def test_committed_discrepancy_bundle_is_reproduced(n, m, cell, expected):
+    """Each evidence bundle kept next to this module is what
+    ``discrepancy_report`` gives today with its default seeds and trials."""
+    path = os.path.join(os.path.dirname(__file__), f"discrepancy_{n}_{m}_{cell}.json")
+    with open(path, encoding="utf-8") as fh:
+        committed = json.load(fh)
+    assert discrepancy_report(n, m, cell, expected) == committed
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 4), (4, 6)])

@@ -20,8 +20,6 @@ import identkit.census as census_mod
 from identkit.census import (
     CELLS,
     census_row,
-    cell_members,
-    discrepancy_report,
     representatives,
     row_feasibility,
     total_graphs,
@@ -35,6 +33,8 @@ from identkit.model import compartmental_matrix, make_model
 from identkit.sympoly import char_poly_coeffs
 
 from oracles import (
+    cell_members,
+    discrepancy_report,
     enumerate_graphs,
     floyd_warshall,
     labeled_census,

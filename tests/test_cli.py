@@ -247,6 +247,21 @@ class TestTransform:
         doc = json.loads(out)
         assert code == 0 and doc["model"]["n"] == 6
 
+    @pytest.mark.parametrize(
+        "transform",
+        [["--remove-leaks", "1"], ["--leaks", "2", "--add-leak", "1"], ["--attach-path", "3,1,1"]],
+        ids=["remove-leaks", "add-leak", "attach-path"],
+    )
+    def test_zero_trials_rejected(self, capsys, transform):
+        """Rejected even when the transform would draw no rank."""
+        code, out = run(
+            capsys,
+            "transform", "--model", fixture("fan_in.json"), *transform, "--trials", "0",
+            "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out) == {"error": "ModelError", "message": "trials must be at least 1, got 0"}
+
     def test_exactly_one_transform_required(self, capsys):
         code, _ = run(
             capsys,
