@@ -268,7 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--leaks", help="'all', 'none', or comma list overriding the file")
         if ranks:
             p.add_argument("--seed", type=int, help="default: $IDENTKIT_SEED, else 0")
-            p.add_argument("--trials", type=int, default=identcore.DEFAULT_TRIALS)
+            p.add_argument(
+                "--trials",
+                type=int,
+                default=identcore.DEFAULT_TRIALS,
+                help="random points per rank, default %(default)s; each is uniform "
+                "in 1..p-1 mod a prime p near 2^62. A full rank is proof-grade; a deficit is "
+                "probabilistic (Schwartz-Zippel)",
+            )
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="rank analysis and verdict")

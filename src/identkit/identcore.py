@@ -1,18 +1,24 @@
 """Rank-based identifiability decisions and structural necessary conditions.
 
 Local identifiability is decided by the generic rank of the Jacobian of the
-coefficient map: at random nonzero integer points, modulo fixed primes just
-below 2^62 (``PRIMES``), the gradient of every coefficient polynomial is
-evaluated in one pass over its terms (no symbolic partial derivative is
-built); the rank reported is the maximum over trials.  Trials stop once the
-rank reaches a proven upper bound: the parameter count, the coefficient
-count, or, for a full-leak model with a bound tier, |E| + |In u Out|.
-``jacobian_ranks`` is the one rank engine, shared with the census.  A full
-rank at an integer point mod a prime is a full rank over Q, so it is
-proof-grade.  A rank deficit observed at random points is overwhelming but
-not proof-grade evidence, so reports keep it separate from the
-certificate-grade structural screens (parameter count, exchange, direct
-edge, short path).
+coefficient map: at a point drawn uniformly from the nonzero residues mod a
+prime just below 2^62 (``PRIMES``), the gradient of every coefficient
+polynomial is evaluated in one pass over its terms (no symbolic partial
+derivative is built).  One trial is the default; with more, trial t works
+mod ``PRIMES[t % 3]`` and the rank reported is the maximum over trials.
+Trials stop once the rank reaches a proven upper bound: the parameter count,
+the coefficient count, or, for a full-leak model with a bound tier,
+|E| + |In u Out|.  ``jacobian_ranks`` is the one rank engine, shared with
+the census.
+
+A full rank at an integer point mod a prime is a full rank over Q, so it is
+proof-grade.  A rank deficit is probabilistic: if the maximal minor is
+nonzero mod p, a uniform point in 1..p-1 misses it with probability at most
+d/(p-1) (Schwartz-Zippel, d its degree), below 1.2e-17 at n = 5.  A minor
+whose integer content p divides reads as a deficit at every point mod p;
+more trials spread the draws over three primes.  Reports keep a deficit
+separate from the certificate-grade structural screens (parameter count,
+exchange, direct edge, short path).
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from .ioeq import CoefficientMap, coefficient_map, expected_coefficient_count
 from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, ModelError, normalize_mode
 from .sympoly import SparsePoly, VarTable, jacobian_at
 
-VALUE_BOUND = 10_000
-DEFAULT_TRIALS = 3
+DEFAULT_TRIALS = 1
 # trial t works mod PRIMES[t % 3]: the three largest primes below 2^62
 PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
 
@@ -54,16 +59,10 @@ def check_trials(trials: int) -> None:
         raise ModelError(f"trials must be at least 1, got {trials}")
 
 
-def random_point(table: VarTable, rng: random.Random) -> tuple[int, ...]:
-    """Parameter values drawn uniformly from nonzero integers in [-10^4, 10^4],
-    so none vanishes mod a prime above 2^61."""
-    vals = []
-    for _ in table.params:
-        v = 0
-        while v == 0:
-            v = rng.randint(-VALUE_BOUND, VALUE_BOUND)
-        vals.append(v)
-    return tuple(vals)
+def random_point(table: VarTable, rng: random.Random, p: int) -> tuple[int, ...]:
+    """Parameter values drawn uniformly from 1..p-1, the nonzero residues mod
+    the prime ``p``."""
+    return tuple(rng.randrange(1, p) for _ in table.params)
 
 
 def _reduce(row: list[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
@@ -116,12 +115,12 @@ def jacobian_ranks(
     """Maximum rank, over ``trials`` random points, of row subsets of the
     Jacobian of ``polys`` (rows) by the parameters of ``table`` (columns).
 
-    Each subset is (row ids, target rank).  Trial t draws a nonzero point,
-    evaluates the Jacobian there mod ``PRIMES[t % len(PRIMES)]``, and ranks
-    the subsets that have not reached their targets in one ``rank_mod_p``
-    call; trials stop once all have.  A rank found mod a prime is a lower
-    bound on the rank over Q, so a full rank is proof-grade; a deficit rests
-    on the random point (Schwartz-Zippel).
+    Each subset is (row ids, target rank).  Trial t draws a point from the
+    nonzero residues mod ``p = PRIMES[t % len(PRIMES)]``, evaluates the
+    Jacobian there mod p, and ranks the subsets that have not reached their
+    targets in one ``rank_mod_p`` call; trials stop once all have.  A rank
+    found mod a prime is a lower bound on the rank over Q, so a full rank is
+    proof-grade; a deficit rests on the random point (Schwartz-Zippel).
     """
     check_trials(trials)
     best = [0] * len(subsets)
@@ -130,7 +129,7 @@ def jacobian_ranks(
         if not pending:
             break
         p = PRIMES[t % len(PRIMES)]
-        jac = jacobian_at(polys, random_point(table, rng), p)
+        jac = jacobian_at(polys, random_point(table, rng, p), p)
         for k, rank in zip(pending, rank_mod_p(jac, p, [subsets[k][0] for k in pending])):
             best[k] = max(best[k], rank)
     return best

@@ -282,7 +282,7 @@ def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> l
                 if col == ncols:
                     raise VariableMismatch("cannot evaluate a polynomial containing D")
                 support.append((col, k))
-                v = v * (values[col] if k == 1 else values[col] ** k) % p
+                v = v * (values[col] if k == 1 else pow(values[col], k, p)) % p
             half >>= SLOT_BITS
             col += 1
         value[key] = v

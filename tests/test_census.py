@@ -257,11 +257,12 @@ class TestCheckpointing(object):
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 2)
         full = census_row(3, 3, seed=5)
         # simulate an interrupted run: process only the first block
-        partial_counts = census_mod._eval_chunk((3, 3, representatives(3, 3)[:2], 5, 3))
+        trials = census_mod.DEFAULT_TRIALS
+        partial_counts = census_mod._eval_chunk((3, 3, representatives(3, 3)[:2], 5, trials))
         with open(path, "w") as fh:
             json.dump(
                 {
-                    "format": census_mod.CHECKPOINT_FORMAT, "n": 3, "m": 3, "seed": 5, "trials": 3,
+                    "format": census_mod.CHECKPOINT_FORMAT, "n": 3, "m": 3, "seed": 5, "trials": trials,
                     "next_class": 2, "counts": partial_counts,
                 },
                 fh,

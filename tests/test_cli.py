@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import identkit
 from identkit.cli import main
+from identkit.identcore import DEFAULT_TRIALS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -531,7 +532,11 @@ class TestCensusCommand:
 
     @pytest.mark.parametrize(
         "text",
-        ["garbage", "[1, 2]", '{"format": "class-blocks", "n": 3, "m": 3, "seed": 0, "trials": 3}'],
+        [
+            "garbage",
+            "[1, 2]",
+            json.dumps({"format": "class-blocks", "n": 3, "m": 3, "seed": 0, "trials": DEFAULT_TRIALS}),
+        ],
         ids=["not-json", "not-an-object", "no-counts"],
     )
     def test_corrupt_checkpoint_gives_error_document(self, capsys, tmp_path, text):

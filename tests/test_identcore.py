@@ -81,33 +81,40 @@ class TestCertifiedBoundStopsTrials:
     """A full-leak rank cannot exceed |E| + |In u Out|, so the trials end
     once it is reached, with the rank that all the trials would give."""
 
-    def test_rank_at_its_bound_takes_one_trial(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One entry per ``jacobian_at`` call made by the rank engine."""
+        calls = []
+        real = identcore.jacobian_at
+        monkeypatch.setattr(identcore, "jacobian_at", lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    def test_rank_at_its_bound_takes_one_trial(self, calls):
         model = fan_in()
         cmap = coefficient_map(model, MODE_DIAG)
         bound = len(model.edges) + len(model.in_union_out)
         assert bound < min(len(cmap.polys), len(cmap.param_order))
-        calls = []
-        real = identcore.jacobian_at
-        monkeypatch.setattr(identcore, "jacobian_at", lambda *args: calls.append(1) or real(*args))
         for seed in range(5):
             calls.clear()
-            report = classify_identifiability(model, seed=seed)
+            report = classify_identifiability(model, seed=seed, trials=3)
             assert (report.jacobian_rank, len(calls)) == (bound, 1)
             calls.clear()
-            assert expected_dimension_test(model, seed=seed).rank == bound
+            assert expected_dimension_test(model, seed=seed, trials=3).rank == bound
             assert len(calls) == 1
             calls.clear()
             # the same stream, to the target min(#polys, #params)
-            assert jacobian_rank(cmap, seed=seed) == bound
-            assert len(calls) == DEFAULT_TRIALS
+            assert jacobian_rank(cmap, seed=seed, trials=3) == bound
+            assert len(calls) == 3
 
-    def test_rank_below_its_bound_runs_every_trial(self, monkeypatch):
-        calls = []
-        real = identcore.jacobian_at
-        monkeypatch.setattr(identcore, "jacobian_at", lambda *args: calls.append(1) or real(*args))
+    def test_rank_below_its_bound_runs_every_trial(self, calls):
+        report = classify_identifiability(fan_in_bypass(), seed=0, trials=3)
+        assert report.jacobian_rank < report.expected_dimension_bound
+        assert len(calls) == 3
+
+    def test_rank_below_its_bound_takes_one_trial_by_default(self, calls):
         report = classify_identifiability(fan_in_bypass(), seed=0)
         assert report.jacobian_rank < report.expected_dimension_bound
-        assert len(calls) == DEFAULT_TRIALS
+        assert (report.trials, len(calls)) == (DEFAULT_TRIALS, 1)
 
 
 def planted_rows(rng: random.Random, nrows: int, ncols: int, draw, add) -> list:
@@ -148,6 +155,21 @@ class TestRankEngine:
         for p in PRIMES:
             assert 2**61 < p < 2**62
             assert sympy.isprime(p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_random_point_spans_the_nonzero_residues(self, p):
+        table = VarTable(("x",))
+        rng = random.Random(5)
+        draws = [v for _ in range(1000) for v in random_point(table, rng, p)]
+        assert all(1 <= v < p for v in draws)
+        assert max(draws) > p // 2
+
+    def test_random_point_replays_from_its_seed(self):
+        table = VarTable(tuple(f"x{i}" for i in range(6)))
+        p = PRIMES[0]
+        first = random_point(table, random.Random(9), p)
+        assert random_point(table, random.Random(9), p) == first
+        assert len(first) == 6
 
     def test_rank_mod_p_matches_oracle(self):
         rng = random.Random(7)
@@ -194,7 +216,7 @@ class TestRankEngine:
                 expected = [0] * len(ids_list)
                 for t in range(trials):
                     p = PRIMES[t % len(PRIMES)]
-                    point = random_point(table, replay)
+                    point = random_point(table, replay, p)
                     jac = [sympy_gradient_mod_p(poly, point, p) for poly in polys]
                     ranks = [sympy_rank_mod_p([jac[r] for r in ids], p) for ids in ids_list]
                     expected = [max(a, b) for a, b in zip(expected, ranks)]

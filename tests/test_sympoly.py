@@ -211,7 +211,7 @@ class TestJacobianAtOracle:
         rng = random.Random(f"{path.stem}:{mode}")
         for _ in range(2):
             p = rng.choice(PRIMES)
-            values = random_point(cmap.table, rng)
+            values = random_point(cmap.table, rng, p)
             expected = [sympy_gradient_mod_p(poly, values, p) for poly in cmap.polys]
             assert jacobian_at(cmap.polys, values, p) == expected
 
