@@ -6,8 +6,8 @@ breadth-first search per vertex (``closure``) gives every distance and every
 reach mask of a graph; strong connectivity, strong input-output
 connectivity (``sioc``), output connectability and dist(i, j) are read from
 it, by the census per class and by a model from its memoized
-``CompartmentalModel.closure``.  Only the inductive strong connectivity
-search is exponential in n.
+``CompartmentalModel.closure``.  Inductive strong connectivity grows one
+vertex set from its start, in O(n^2) mask operations.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import CompartmentalModel, make_model
-
-ISC_STATE_CAP = 500_000  # prefix vertex-sets the inductive-SC search may visit
+from .model import CompartmentalModel
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration or search grew past its configured cap."""
+    """A cycle or path enumeration (``cyclespace``) grew past its cap."""
 
 
 class PreconditionViolated(ValueError):
@@ -36,22 +34,6 @@ def out_masks(n: int, edges) -> list[int]:
     for s, d in edges:
         masks[s - 1] |= 1 << (d - 1)
     return masks
-
-
-def reachable_from(masks: list[int], start_mask: int) -> int:
-    """All vertices reachable from the seed set (seed included)."""
-    acc = start_mask
-    frontier = start_mask
-    while frontier:
-        new = 0
-        rest = frontier
-        while rest:
-            low = rest & (-rest)
-            new |= masks[low.bit_length() - 1]
-            rest ^= low
-        frontier = new & ~acc
-        acc |= new
-    return acc
 
 
 class Closure(NamedTuple):
@@ -135,25 +117,6 @@ def sioc(graph: Closure, inputs, outputs) -> bool:
     return comp == full
 
 
-def induced_strongly_connected(masks: list[int], member_mask: int) -> bool:
-    """Is the induced subgraph on ``member_mask`` strongly connected?"""
-    if member_mask.bit_count() <= 1:
-        return True
-    start = member_mask & (-member_mask)
-    restricted = [
-        out & member_mask if member_mask >> v & 1 else 0 for v, out in enumerate(masks)
-    ]
-    if reachable_from(restricted, start) != member_mask:
-        return False
-    back = [0] * len(masks)
-    for v, outs in enumerate(restricted):
-        while outs:
-            low = outs & (-outs)
-            back[low.bit_length() - 1] |= 1 << v
-            outs ^= low
-    return reachable_from(back, start) == member_mask
-
-
 # -- predicates on models: reads of the model's closure ---------------------
 
 
@@ -186,53 +149,44 @@ def is_strongly_input_output_connected(model: CompartmentalModel) -> bool:
     return sioc(model.closure, model.inputs, model.outputs)
 
 
+def _inductive_order(n: int, edges, start: int) -> tuple[int, ...] | None:
+    """Grow {start} by the lowest-numbered vertex with an edge from and an
+    edge to the set; the order of growth, or None if it stalls short of n."""
+    outs = out_masks(n, edges)
+    ins = [0] * n
+    for s, d in edges:
+        ins[d - 1] |= 1 << (s - 1)
+    member, order = 1 << (start - 1), [start]
+    while len(order) < n:
+        v = next(
+            (v for v in range(n) if not member >> v & 1 and ins[v] & member and outs[v] & member),
+            None,
+        )
+        if v is None:
+            return None
+        member |= 1 << v
+        order.append(v + 1)
+    return tuple(order)
+
+
 def is_inductively_strongly_connected(
     model: CompartmentalModel, start: int
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Does some vertex ordering starting at ``start`` keep every
-    prefix-induced subgraph strongly connected?
+    prefix-induced subgraph strongly connected?  Returns the verdict and,
+    when it holds, the ordering that adds the lowest-numbered addable vertex
+    first.
 
-    Explores prefix vertex-sets breadth-first (the SC property of a prefix
-    depends only on the set, not the order), so at most 2^n states are
-    visited; ``ISC_STATE_CAP`` bounds the state count for larger graphs.
+    Lemma: for a strongly connected set S and a vertex v outside it,
+    S + {v} is strongly connected exactly when v has an edge from S and an
+    edge to S.  Growing S only makes more vertices addable, so the greedy
+    growth never stalls while a valid ordering exists: the first vertex of
+    that ordering outside a stalled S would be addable.
     """
-    n = model.n
-    if not 1 <= start <= n:
-        raise PreconditionViolated(f"start vertex {start} outside 1..{n}")
-    masks = out_masks(n, model.edges)
-    full = (1 << n) - 1
-    start_mask = 1 << (start - 1)
-    parents: dict[int, tuple[int, int]] = {}
-    level = {start_mask}
-    visited = {start_mask}
-    while level:
-        if full in visited:
-            break
-        next_level: set[int] = set()
-        for state in level:
-            for v in range(n):
-                bit = 1 << v
-                if state & bit:
-                    continue
-                new = state | bit
-                if new in visited:
-                    continue
-                if induced_strongly_connected(masks, new):
-                    visited.add(new)
-                    parents[new] = (state, v + 1)
-                    next_level.add(new)
-                    if len(visited) > ISC_STATE_CAP:
-                        raise CapExceeded(f"inductive-SC search exceeded {ISC_STATE_CAP} states")
-        level = next_level
-    if full not in visited:
-        return False, None
-    order = []
-    state = full
-    while state != start_mask:
-        state, v = parents[state]
-        order.append(v)
-    order.append(start)
-    return True, tuple(reversed(order))
+    if not 1 <= start <= model.n:
+        raise PreconditionViolated(f"start vertex {start} outside 1..{model.n}")
+    order = _inductive_order(model.n, model.edges, start)
+    return order is not None, order
 
 
 def satisfies_almost_isc(model: CompartmentalModel) -> bool:
@@ -253,15 +207,5 @@ def satisfies_almost_isc(model: CompartmentalModel) -> bool:
         return False
     if dist(model, j, i) != math.inf:
         return False
-    augmented = make_model(
-        model.n,
-        tuple(model.edges) + ((j, i),),
-        model.inputs,
-        model.outputs,
-        model.leaks,
-    )
-    for anchor in (i, j):
-        ok, _ = is_inductively_strongly_connected(augmented, anchor)
-        if ok:
-            return True
-    return False
+    edges = model.edges + ((j, i),)
+    return any(_inductive_order(model.n, edges, anchor) for anchor in (i, j))

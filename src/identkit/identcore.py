@@ -198,9 +198,9 @@ def necessary_conditions(model: CompartmentalModel) -> NecessaryConditions:
     else:
         screens.append(ConditionResult("leak-count", "skipped", "connectivity hypotheses not met"))
 
-    # in = out with the maximal 2|V|-2 edges: an exchange is mandatory
+    # in = out with the maximal 2|V|-2 edges, |V| >= 2: an exchange is mandatory
     in_is_out = len(model.inputs) == 1 and model.inputs == model.outputs
-    if in_is_out and ne == 2 * n - 2 and nl == 1 and graphprops.is_strongly_connected(model):
+    if in_is_out and n >= 2 and ne == 2 * n - 2 and nl == 1 and graphprops.is_strongly_connected(model):
         edges = set(model.edges)
         has_exchange = any((d, s) in edges for s, d in model.edges)
         if has_exchange:

@@ -216,25 +216,25 @@ def all_io_paths_brute_from(model: CompartmentalModel, i: int, j: int):
     return out
 
 
+def oracle_induced_strongly_connected(model: CompartmentalModel, members: set[int]) -> bool:
+    """Is the subgraph induced on ``members`` strongly connected?"""
+    sub = CompartmentalModel(
+        n=model.n,
+        edges=tuple(e for e in model.edges if e[0] in members and e[1] in members),
+        inputs=model.inputs,
+        outputs=model.outputs,
+        leaks=model.leaks,
+    )
+    reach = dense_reachability(sub)
+    return all(members <= (reach[v] | {v}) for v in members)
+
+
 def exhaustive_isc(model: CompartmentalModel, start: int) -> bool:
     """Inductive strong connectivity by trying every vertex ordering."""
     rest = [v for v in model.vertices if v != start]
-    edges = set(model.edges)
-
-    def prefix_sc(prefix: set[int]) -> bool:
-        sub = CompartmentalModel(
-            n=model.n,
-            edges=tuple(e for e in edges if e[0] in prefix and e[1] in prefix),
-            inputs=model.inputs,
-            outputs=model.outputs,
-            leaks=model.leaks,
-        )
-        reach = dense_reachability(sub)
-        return all(prefix <= (reach[v] | {v}) for v in prefix)
-
     for order in permutations(rest):
         seq = [start, *order]
-        if all(prefix_sc(set(seq[: k + 1])) for k in range(len(seq))):
+        if all(oracle_induced_strongly_connected(model, set(seq[: k + 1])) for k in range(len(seq))):
             return True
     return False
 

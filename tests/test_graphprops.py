@@ -5,15 +5,13 @@ from __future__ import annotations
 import math
 import signal
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
 
-import identkit.graphprops as graphprops
 from identkit.census import edge_slots
 from identkit.graphprops import (
-    CapExceeded,
     PreconditionViolated,
     closure,
     dist,
@@ -25,8 +23,8 @@ from identkit.graphprops import (
     output_reachable_set,
     satisfies_almost_isc,
 )
-from identkit.identcore import classify_identifiability
-from identkit.model import make_model
+from identkit.identcore import classify_identifiability, expected_dimension_test
+from identkit.model import MAX_VERTICES, make_model
 
 from conftest import (
     cascade_exchange,
@@ -40,6 +38,7 @@ from conftest import (
 from oracles import (
     exhaustive_isc,
     floyd_warshall,
+    oracle_induced_strongly_connected,
     oracle_strongly_connected,
     sioc_by_definition,
     sioc_via_augmentation,
@@ -263,29 +262,32 @@ class TestInductivelyStronglyConnected:
         ok, order = is_inductively_strongly_connected(m, 1)
         assert ok and order == (1, 2, 3, 4)
 
-    def test_state_cap(self, monkeypatch):
-        """The complete 3-vertex digraph visits 4 prefix sets from vertex 1."""
-        m = make_model(3, [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j], {1}, {1})
-        monkeypatch.setattr(graphprops, "ISC_STATE_CAP", 3)
-        with pytest.raises(CapExceeded):
-            is_inductively_strongly_connected(m, 1)
-        monkeypatch.setattr(graphprops, "ISC_STATE_CAP", 4)
-        assert is_inductively_strongly_connected(m, 1) == (True, (1, 2, 3))
-
     def test_witness_ordering_is_valid(self, rng):
-        from identkit.graphprops import induced_strongly_connected, out_masks
-
+        """At every start the verdict matches the search over all orderings,
+        and the order adds, each step, the lowest-numbered vertex whose
+        prefix induces a strongly connected subgraph."""
         for _ in range(150):
             m = random_model(rng, n_range=(1, 5))
-            start = 1
-            ok, order = is_inductively_strongly_connected(m, start)
-            assert ok == exhaustive_isc(m, start), m
-            if ok:
-                masks = out_masks(m.n, m.edges)
-                mask = 0
-                for v in order:
-                    mask |= 1 << (v - 1)
-                    assert induced_strongly_connected(masks, mask), (m, order)
+            for start in m.vertices:
+                ok, order = is_inductively_strongly_connected(m, start)
+                assert ok == exhaustive_isc(m, start), (m, start)
+                if not ok:
+                    assert order is None
+                    continue
+                assert order[0] == start and sorted(order) == list(m.vertices), (m, order)
+                for k in range(1, m.n):
+                    prefix = set(order[:k])
+                    addable = [
+                        v
+                        for v in m.vertices
+                        if v not in prefix and oracle_induced_strongly_connected(m, prefix | {v})
+                    ]
+                    assert order[k] == min(addable), (m, order)
+
+    def test_bad_start(self):
+        for start in (0, 4):
+            with pytest.raises(PreconditionViolated):
+                is_inductively_strongly_connected(three_cycle(), start)
 
 
 class TestAlmostISC:
@@ -316,3 +318,30 @@ class TestAlmostISC:
             satisfies_almost_isc(make_model(2, [(1, 2)], {1, 2}, {2}, set()))
         with pytest.raises(PreconditionViolated):
             satisfies_almost_isc(make_model(2, [(1, 2)], {1}, {1}, set()))
+
+    @pytest.mark.parametrize("n", [24, MAX_VERTICES])
+    def test_star_of_exchanges_at_scale(self, n):
+        """1 -> 2 and 1 <-> v for v = 3..n: 2n-3 edges, dist(1, 2) = 1, and
+        with 2 -> 1 added, every vertex joins {1} in turn."""
+        edges = [(1, 2)] + [e for v in range(3, n + 1) for e in ((1, v), (v, 1))]
+        m = make_model(n, edges, {1}, {2}, set(range(1, n + 1)))
+        with _time_limit(10):
+            assert satisfies_almost_isc(m)
+
+    def test_sufficient_condition_exhaustive(self):
+        """Every full-leak model with n <= 4, distinct single input and
+        output, and n-1 to 2n-3 edges that satisfies the condition reaches
+        expected dimension."""
+        models = held = 0
+        for n in range(2, 5):
+            vertices = range(1, n + 1)
+            slots = [(u, v) for u in vertices for v in vertices if u != v]
+            for size in range(n - 1, 2 * n - 2):
+                for edges in combinations(slots, size):
+                    for i, j in permutations(vertices, 2):
+                        m = make_model(n, edges, {i}, {j}, vertices)
+                        models += 1
+                        if satisfies_almost_isc(m):
+                            held += 1
+                            assert expected_dimension_test(m, seed=0).equals_bound, m
+        assert (models, held) == (18298, 440)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 import sympy
@@ -26,7 +26,7 @@ from identkit.identcore import (
     self_cycles_identifiable,
 )
 from identkit.graphprops import is_strongly_connected, is_strongly_input_output_connected
-from identkit.ioeq import coefficient_map
+from identkit.ioeq import NoInputReachesOutput, coefficient_map
 from identkit.model import MODE_DIAG, MODE_EXPLICIT, ModelError, make_model
 from identkit.sympoly import SparsePoly, VarTable
 
@@ -400,6 +400,11 @@ class TestNecessaryConditions:
         by_name2 = {s.name: s.status for s in necessary_conditions(m2).screens}
         assert by_name2["exchange"] == "certified-unidentifiable"
         assert classify_identifiability(m2, seed=0).verdict == "unidentifiable"
+        # one compartment has 2|V|-2 = 0 edges and no room for an exchange
+        m1 = make_model(1, [], {1}, {1}, {1})
+        by_name1 = {s.name: s.status for s in necessary_conditions(m1).screens}
+        assert by_name1["exchange"] == "skipped"
+        assert classify_identifiability(m1, seed=0).verdict == "locally-identifiable"
 
     def test_path_length_screen(self):
         # |E| = 2*4 - (2+2) = 4 edges, k = 2, dist(1,2) must be <= 2
@@ -429,6 +434,29 @@ class TestNecessaryConditions:
                             direct += 1
                             assert status["direct-edge"] == status["path-length"], model
         assert (applies, direct) == (2834, 2360)
+
+    def test_no_certified_screen_on_an_identifiable_model(self):
+        """For every model with n <= 3, one input, one output, any edge set
+        and any leak set, no screen certifies unidentifiability where the
+        rank finds the model locally identifiable."""
+        models = 0
+        for n in range(1, 4):
+            vertices = range(1, n + 1)
+            slots = [(u, v) for u in vertices for v in vertices if u != v]
+            leak_sets = [c for k in range(n + 1) for c in combinations(vertices, k)]
+            for size in range(len(slots) + 1):
+                for edges in combinations(slots, size):
+                    for i, j, leaks in product(vertices, vertices, leak_sets):
+                        model = make_model(n, edges, {i}, {j}, leaks)
+                        try:
+                            report = classify_identifiability(model, seed=0)
+                        except NoInputReachesOutput:
+                            continue
+                        models += 1
+                        if report.verdict == "locally-identifiable":
+                            statuses = {s.status for s in report.conditions.screens}
+                            assert "certified-unidentifiable" not in statuses, model
+        assert models == 3506
 
 
 class TestEdgeFormula:
