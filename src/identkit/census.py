@@ -41,12 +41,13 @@ bound at every point: it is a proof-grade non-member and is neither
 expanded nor ranked.  One expansion of G's characteristic matrix gives the
 cofactors of the other tuples, and one call of the rank engine ranks them.
 
-Counting is deterministic for a fixed seed regardless of worker count: each
-class owns an RNG stream derived from (seed, n, m, index of its
-representative among the labeled graphs), and aggregation is plain
-addition.  A checkpoint block is a run of ``CHECKPOINT_EVERY`` consecutive
-classes in index order; worker k of a block takes its classes k,
-k + jobs, ..., and ``_eval_chunk`` evaluates and weights them.
+Counting is deterministic for a fixed seed regardless of worker count: the
+seed picks the prime (``PRIMES[seed % 3]``), each class draws its one point
+from an RNG stream derived from (seed, n, m, index of its representative
+among the labeled graphs), and aggregation is plain addition.  A
+checkpoint block is a run of ``CHECKPOINT_EVERY`` consecutive classes in
+index order; worker k of a block takes its classes k, k + jobs, ..., and
+``_eval_chunk`` evaluates and weights them.
 """
 
 from __future__ import annotations
@@ -63,13 +64,14 @@ from multiprocessing import Pool
 from operator import or_
 
 from . import graphprops
-from .identcore import DEFAULT_TRIALS, check_trials, derived_rng, jacobian_ranks
+from .identcore import jacobian_ranks
 from .ioeq import coefficient_count
 from .model import ModelError, compartmental_matrix, make_model, read_json
 from .sympoly import char_poly_coeffs
 
 CHECKPOINT_EVERY = 10_000  # classes per checkpoint block
-CHECKPOINT_FORMAT = "class-blocks"  # counts summed over the first next_class classes
+# counts summed over the first next_class classes, ranked mod PRIMES[seed % 3]
+CHECKPOINT_FORMAT = "seed-prime-class-blocks"
 MAX_N = 7  # every generated graph is relabeled by all n! permutations
 
 CELLS = (
@@ -226,14 +228,15 @@ def _coefficient_count(n: int, dist, cofactors) -> int:
     return coefficient_count(n, dists, len(cofactors) - len(dists))
 
 
-def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int) -> dict[str, dict]:
+def _evaluate_class(n: int, edges, aut, seed: int, key, feas: dict[str, bool]) -> dict[str, dict]:
     """The member role-tuple orbits of one graph, per cell: {least tuple: orbit size}.
 
     A cell's roles are its labels 1..k in order (input 1, outputs 2 and 3;
     or input 1, output 2, input 3), so role tuple (a, b, c) puts vertex a in
     the place of label 1, b in that of 2 and c in that of 3.  The
     ``strongly_connected`` cell has the empty tuple.  Cells that ``feas``
-    marks False are left empty.
+    marks False are left empty.  The rank tests draw their one point by
+    ``jacobian_ranks(..., seed, key, ...)``.
     """
     m = len(edges)
     singles, pairs, triples = (_tuple_orbits(n, k, aut) for k in (1, 2, 3))
@@ -284,16 +287,15 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
     positions = list(dict.fromkeys(pos for test in tests for pos in test[3]))
     block = {pos: n + (n - 1) * k for k, pos in enumerate(positions)}
     polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
-    # one row subset per (cofactor set, bound): the role tuples (a, b, c) and
-    # (a, c, b) of expdim_in1_out23, for one, rank the same rows
-    subsets: dict[tuple[frozenset, int], list[int]] = {}
-    for _, _, _, cofactors, bound in tests:
+    # one row subset per cofactor set: the role tuples (a, b, c) and (a, c, b)
+    # of expdim_in1_out23, for one, rank the same rows
+    subsets: dict[frozenset, list[int]] = {}
+    for _, _, _, cofactors, _ in tests:
         rows = list(range(n)) + [r for pos in cofactors for r in range(block[pos], block[pos] + n - 1)]
-        subsets.setdefault((frozenset(cofactors), bound), rows)
-    targets = [(rows, bound) for (_, bound), rows in subsets.items()]
-    rank_of = dict(zip(subsets, jacobian_ranks(polys, matrix.table, rng, trials, targets)))
+        subsets.setdefault(frozenset(cofactors), rows)
+    rank_of = dict(zip(subsets, jacobian_ranks(polys, matrix.table, seed, key, list(subsets.values()))))
     for name, t, size, cofactors, bound in tests:
-        rank = rank_of[frozenset(cofactors), bound]
+        rank = rank_of[frozenset(cofactors)]
         if rank > bound:
             raise AssertionError(f"rank {rank} exceeds bound {bound} for {name} at {t} on edges {edges}")
         if rank == bound:
@@ -303,16 +305,15 @@ def _evaluate_class(n: int, edges, aut, rng, feas: dict[str, bool], trials: int)
 
 def _eval_chunk(args) -> list[int]:
     """Cell counts of the labeled graphs isomorphic to the ``classes`` of
-    ``args``, given as ``representatives`` gives them.  Each class's RNG
-    stream is keyed by (seed, n, m, index of its representative).  A class
+    ``args``, given as ``representatives`` gives them.  Each class's random
+    point is keyed by (seed, n, m, index of its representative).  A class
     adds, per member orbit of role k-tuples with stabiliser size s,
     (n - k)!/s labeled graphs, where s = |Aut| / orbit size."""
-    n, m, classes, seed, trials = args
+    n, m, classes, seed = args
     feas = row_feasibility(n, m)
     counts = [0] * len(CELLS)
     for idx, edges, aut in classes:
-        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
-        held = _evaluate_class(n, edges, aut, rng, feas, trials)
+        held = _evaluate_class(n, edges, aut, seed, ("census", f"{n}:{m}:{idx}"), feas)
         for pos, name in enumerate(CELLS):
             for t, size in held[name].items():
                 counts[pos] += math.factorial(n - len(t)) * size // len(aut)
@@ -322,14 +323,13 @@ def _eval_chunk(args) -> list[int]:
 # -- row and table drivers ------------------------------------------------
 
 
-def check_row(n: int, m: int, trials: int, jobs: int = 1) -> None:
-    """ModelError unless n is in 1..MAX_N, m in 0..n(n-1), and trials and
-    jobs are at least 1."""
+def check_row(n: int, m: int, jobs: int = 1) -> None:
+    """ModelError unless n is in 1..MAX_N, m in 0..n(n-1), and jobs is at
+    least 1."""
     if not 1 <= n <= MAX_N:
         raise ModelError(f"n={n} outside 1..{MAX_N}")
     if not 0 <= m <= n * (n - 1):
         raise ModelError(f"m={m} outside 0..{n * (n - 1)} for n={n}")
-    check_trials(trials)
     if jobs < 1:
         raise ModelError(f"jobs must be at least 1, got {jobs}")
 
@@ -359,28 +359,29 @@ def census_row(
     n: int,
     m: int,
     seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
     jobs: int = 1,
     checkpoint_path: str | None = None,
     progress=None,
 ) -> CensusRow:
     """Count all graphs at (n, m); ModelError when n is outside 1..MAX_N, m
-    outside 0..n(n-1), trials or jobs below 1, or the checkpoint is unreadable.
+    outside 0..n(n-1), jobs below 1, or the checkpoint is unreadable.
 
     With ``jobs > 1`` one process pool, of at most one worker per class,
     serves the whole row.  With a checkpoint path, partial counts are
     flushed every ``CHECKPOINT_EVERY`` classes and an interrupted run
-    resumes from the last flush (the file must match the format, n, m, seed
-    and trials).  ``progress`` is called after each block with (n, m,
-    classes done, classes in the row).
+    resumes from the last flush.  The file must match the run's key:
+    ``CHECKPOINT_FORMAT``, n, m and seed.  Any other file, one of an older
+    format too, is ignored and overwritten, so a resumed row counts exactly
+    as an uninterrupted one.  ``progress`` is called after each block with
+    (n, m, classes done, classes in the row).
     """
-    check_row(n, m, trials, jobs)
+    check_row(n, m, jobs)
     feas = row_feasibility(n, m)
     classes = representatives(n, m)
     counts = [0] * len(CELLS)
     done = 0
 
-    key = {"format": CHECKPOINT_FORMAT, "n": n, "m": m, "seed": seed, "trials": trials}
+    key = {"format": CHECKPOINT_FORMAT, "n": n, "m": m, "seed": seed}
     if checkpoint_path and os.path.exists(checkpoint_path):
         counts, done = _read_checkpoint(checkpoint_path, key, len(classes)) or (counts, done)
 
@@ -392,7 +393,7 @@ def census_row(
         mapper = pool.map if pool else map
         while done < len(classes):
             block = classes[done : done + CHECKPOINT_EVERY]
-            tasks = [(n, m, block[k::jobs], seed, trials) for k in range(min(jobs, len(block)))]
+            tasks = [(n, m, block[k::jobs], seed) for k in range(min(jobs, len(block)))]
             for part in mapper(_eval_chunk, tasks):
                 counts = [a + b for a, b in zip(counts, part)]
             done += len(block)
@@ -414,7 +415,6 @@ def census_table(
     n: int,
     m_values,
     seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
     jobs: int = 1,
     checkpoint_dir: str | None = None,
     progress=None,
@@ -423,7 +423,7 @@ def census_table(
     if not m_values:
         raise ModelError(f"no edge counts to census for n={n}")
     for m in m_values:
-        check_row(n, m, trials, jobs)  # before any checkpoint directory is made
+        check_row(n, m, jobs)  # before any checkpoint directory is made
     rows = []
     for m in m_values:
         path = None
@@ -431,7 +431,7 @@ def census_table(
             os.makedirs(checkpoint_dir, exist_ok=True)
             path = os.path.join(checkpoint_dir, f"census_{n}_{m}_{seed}.json")
         rows.append(
-            census_row(n, m, seed=seed, trials=trials, jobs=jobs, checkpoint_path=path, progress=progress)
+            census_row(n, m, seed=seed, jobs=jobs, checkpoint_path=path, progress=progress)
         )
     return rows
 
@@ -444,12 +444,9 @@ def write_csv(rows: list[CensusRow], path: str) -> None:
             writer.writerow(row.csv_record())
 
 
-def write_sidecar(
-    rows: list[CensusRow], path: str, seed: int, trials: int, runtime_seconds: float
-) -> None:
+def write_sidecar(rows: list[CensusRow], path: str, seed: int, runtime_seconds: float) -> None:
     doc = {
         "seed": seed,
-        "trials": trials,
         "runtime_seconds": runtime_seconds,
         "rows": [
             {"n": r.n, "m": r.m, "total": r.total, **r.cells()}

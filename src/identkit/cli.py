@@ -10,6 +10,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -57,7 +58,7 @@ def _parse_int_list(text: str) -> list[int]:
         raise ModelError(f"bad integer list {text!r}; expected a comma list like '1,2'") from None
 
 
-def _parse_m_range(text: str, n: int, trials: int) -> list[int]:
+def _parse_m_range(text: str, n: int) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
@@ -65,9 +66,19 @@ def _parse_m_range(text: str, n: int, trials: int) -> list[int]:
         except ValueError:
             raise ModelError(f"bad --m range {text!r}; expected 'lo..hi'") from None
         for m in (lo, hi):  # before the list is built, so a huge bound allocates nothing
-            census.check_row(n, m, trials)
+            census.check_row(n, m)
         return list(range(lo, hi + 1))
     return _parse_int_list(text)
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise, before any work is done, the error that writing ``path`` would
+    give later when its directory is missing or not writable."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _load(args) -> "CompartmentalModel":
@@ -92,13 +103,11 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 def _cmd_analyze(args) -> int:
     model = _load(args)
-    report = identcore.classify_identifiability(
-        model, seed=args.seed, trials=args.trials, mode=args.mode
-    )
+    report = identcore.classify_identifiability(model, seed=args.seed, mode=args.mode)
     lines = [
         f"verdict: {report.verdict}",
         f"mode: {report.mode}  params: {report.param_count}  coefficients: {report.coeff_count}",
-        f"jacobian rank: {report.jacobian_rank} (trials={report.trials})",
+        f"jacobian rank: {report.jacobian_rank}",
     ]
     if report.expected_dimension_bound is not None:
         lines.append(
@@ -171,17 +180,15 @@ def _cmd_transform(args) -> int:
     if len(chosen) != 1:
         raise ModelError("choose exactly one of --remove-leaks, --add-leak, --attach-path")
     if args.remove_leaks is not None:
-        new_model, cert = transforms.remove_leaks(
-            model, _parse_int_list(args.remove_leaks), seed=args.seed, trials=args.trials
-        )
+        new_model, cert = transforms.remove_leaks(model, _parse_int_list(args.remove_leaks), seed=args.seed)
     elif args.add_leak is not None:
-        new_model, cert = transforms.add_leak(model, args.add_leak, seed=args.seed, trials=args.trials)
+        new_model, cert = transforms.add_leak(model, args.add_leak, seed=args.seed)
     else:
         path = _parse_int_list(args.attach_path)
         if len(path) != 3:
             raise ModelError(f"--attach-path needs three integers k,l,s, got {args.attach_path!r}")
         k, l, s = path
-        new_model, cert = transforms.attach_path(model, k, l, s, seed=args.seed, trials=args.trials)
+        new_model, cert = transforms.attach_path(model, k, l, s, seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(new_model.to_json() + "\n")
@@ -204,7 +211,7 @@ def _cmd_transform(args) -> int:
 def _cmd_construct(args) -> int:
     doc = read_json(args.script, "construction script", ModelError)
     script = transforms.ConstructionScript.from_dict(doc)
-    model, certs = transforms.run_construction(script, seed=args.seed, trials=args.trials)
+    model, certs = transforms.run_construction(script, seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(model.to_json() + "\n")
@@ -221,7 +228,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    m_values = _parse_m_range(args.m, args.n, args.trials)
+    m_values = _parse_m_range(args.m, args.n)
+    out = args.out or f"census_n{args.n}.csv"
+    _check_out_dir(out)
     started = time.time()
 
     def progress(n, m, done, total):
@@ -231,15 +240,13 @@ def _cmd_census(args) -> int:
         args.n,
         m_values,
         seed=args.seed,
-        trials=args.trials,
         jobs=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         progress=progress if args.verbose else None,
     )
     runtime = time.time() - started
-    out = args.out or f"census_n{args.n}.csv"
     census.write_csv(rows, out)
-    census.write_sidecar(rows, out + ".meta.json", args.seed, args.trials, runtime)
+    census.write_sidecar(rows, out + ".meta.json", args.seed, runtime)
     doc = {
         "csv": out,
         "sidecar": out + ".meta.json",
@@ -267,14 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--leaks", help="'all', 'none', or comma list overriding the file")
         if ranks:
-            p.add_argument("--seed", type=int, help="default: $IDENTKIT_SEED, else 0")
             p.add_argument(
-                "--trials",
+                "--seed",
                 type=int,
-                default=identcore.DEFAULT_TRIALS,
-                help="random points per rank, default %(default)s; each is uniform "
-                "in 1..p-1 mod a prime p near 2^62. A full rank is proof-grade; a deficit is "
-                "probabilistic (Schwartz-Zippel)",
+                help="picks the prime p near 2^62 (one of three, by seed mod 3) and the one "
+                "random point per rank, uniform in 1..p-1; default: $IDENTKIT_SEED, else 0. "
+                "A full rank is proof-grade; a deficit is probabilistic (Schwartz-Zippel)",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -1,24 +1,21 @@
 """Rank-based identifiability decisions and structural necessary conditions.
 
 Local identifiability is decided by the generic rank of the Jacobian of the
-coefficient map: at a point drawn uniformly from the nonzero residues mod a
-prime just below 2^62 (``PRIMES``), the gradient of every coefficient
-polynomial is evaluated in one pass over its terms (no symbolic partial
-derivative is built).  One trial is the default; with more, trial t works
-mod ``PRIMES[t % 3]`` and the rank reported is the maximum over trials.
-Trials stop once the rank reaches a proven upper bound: the parameter count,
-the coefficient count, or, for a full-leak model with a bound tier,
-|E| + |In u Out|.  ``jacobian_ranks`` is the one rank engine, shared with
-the census.
+coefficient map, evaluated at one point per rank.  The seed picks the prime
+``p = PRIMES[seed % 3]``, one of the three largest below 2^62, and, with a
+key naming what is ranked, the point: drawn uniformly from the nonzero
+residues mod p.  The gradient of every coefficient polynomial is evaluated
+there in one pass over its terms (no symbolic partial derivative is built).
+``jacobian_ranks`` is the one rank engine, shared with the census.
 
 A full rank at an integer point mod a prime is a full rank over Q, so it is
 proof-grade.  A rank deficit is probabilistic: if the maximal minor is
 nonzero mod p, a uniform point in 1..p-1 misses it with probability at most
 d/(p-1) (Schwartz-Zippel, d its degree), below 1.2e-17 at n = 5.  A minor
-whose integer content p divides reads as a deficit at every point mod p;
-more trials spread the draws over three primes.  Reports keep a deficit
-separate from the certificate-grade structural screens (parameter count,
-exchange, direct edge, short path).
+whose integer content p divides reads as a deficit at every point mod p; a
+rerun at seed + 1 and seed + 2 reaches the other two primes.  Reports keep
+a deficit separate from the certificate-grade structural screens (parameter
+count, exchange, direct edge, short path).
 """
 
 from __future__ import annotations
@@ -31,11 +28,10 @@ from typing import Sequence
 from . import cyclespace, graphprops
 from .cyclespace import PathCycleBasis
 from .ioeq import CoefficientMap, coefficient_map, expected_coefficient_count
-from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, ModelError, normalize_mode
+from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, normalize_mode
 from .sympoly import SparsePoly, VarTable, jacobian_at
 
-DEFAULT_TRIALS = 1
-# trial t works mod PRIMES[t % 3]: the three largest primes below 2^62
+# seed s works mod PRIMES[s % 3]: the three largest primes below 2^62
 PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
 
 
@@ -51,12 +47,6 @@ def derived_rng(seed: int, *key_parts: str) -> random.Random:
         h.update(b"\x00")
         h.update(part.encode())
     return random.Random(int.from_bytes(h.digest()[:8], "big"))
-
-
-def check_trials(trials: int) -> None:
-    """ModelError unless trials is at least 1."""
-    if trials < 1:
-        raise ModelError(f"trials must be at least 1, got {trials}")
 
 
 def random_point(table: VarTable, rng: random.Random, p: int) -> tuple[int, ...]:
@@ -108,47 +98,28 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int, subsets: Sequence[Sequence
 def jacobian_ranks(
     polys: Sequence[SparsePoly],
     table: VarTable,
-    rng: random.Random,
-    trials: int,
-    subsets: Sequence[tuple[Sequence[int], int]],
+    seed: int,
+    key: Sequence[str],
+    subsets: Sequence[Sequence[int]],
 ) -> list[int]:
-    """Maximum rank, over ``trials`` random points, of row subsets of the
-    Jacobian of ``polys`` (rows) by the parameters of ``table`` (columns).
+    """Ranks of row subsets (lists of row ids) of the Jacobian of ``polys``
+    (rows) by the parameters of ``table`` (columns), at one point.
 
-    Each subset is (row ids, target rank).  Trial t draws a point from the
-    nonzero residues mod ``p = PRIMES[t % len(PRIMES)]``, evaluates the
-    Jacobian there mod p, and ranks the subsets that have not reached their
-    targets in one ``rank_mod_p`` call; trials stop once all have.  A rank
-    found mod a prime is a lower bound on the rank over Q, so a full rank is
-    proof-grade; a deficit rests on the random point (Schwartz-Zippel).
+    The point is drawn from the nonzero residues mod ``p = PRIMES[seed % 3]``
+    by the stream ``derived_rng(seed, *key)``; the Jacobian is evaluated
+    there mod p and every subset is ranked in one ``rank_mod_p`` call.  A
+    rank found mod a prime is a lower bound on the rank over Q, so a full
+    rank is proof-grade; a deficit rests on the random point (Schwartz-Zippel).
     """
-    check_trials(trials)
-    best = [0] * len(subsets)
-    for t in range(trials):
-        pending = [k for k, (_, target) in enumerate(subsets) if best[k] < target]
-        if not pending:
-            break
-        p = PRIMES[t % len(PRIMES)]
-        jac = jacobian_at(polys, random_point(table, rng, p), p)
-        for k, rank in zip(pending, rank_mod_p(jac, p, [subsets[k][0] for k in pending])):
-            best[k] = max(best[k], rank)
-    return best
+    p = PRIMES[seed % len(PRIMES)]
+    point = random_point(table, derived_rng(seed, *key), p)
+    return rank_mod_p(jacobian_at(polys, point, p), p, subsets)
 
 
-def jacobian_rank(
-    cmap: CoefficientMap, seed: int = 0, trials: int = DEFAULT_TRIALS, bound: int | None = None
-) -> int:
-    """Maximum Jacobian rank observed over ``trials`` random evaluations.
-
-    ``bound`` is a proven upper bound on the rank, if one is known: trials
-    stop once it is reached, since no later trial can go higher.
-    """
+def jacobian_rank(cmap: CoefficientMap, seed: int = 0) -> int:
+    """Jacobian rank of the coefficient map at the random point of ``seed``."""
     key = "|".join(str(p) for p in cmap.param_order) + "#" + str(len(cmap.polys))
-    rng = derived_rng(seed, "jacobian", key)
-    target = min(len(cmap.polys), len(cmap.param_order))
-    if bound is not None:
-        target = min(target, bound)
-    (rank,) = jacobian_ranks(cmap.polys, cmap.table, rng, trials, [(range(len(cmap.polys)), target)])
+    (rank,) = jacobian_ranks(cmap.polys, cmap.table, seed, ("jacobian", key), [range(len(cmap.polys))])
     return rank
 
 
@@ -264,7 +235,6 @@ class AnalysisReport:
     minimality_warning: bool
     conditions: NecessaryConditions
     seed: int
-    trials: int
 
     def to_dict(self) -> dict:
         return {
@@ -284,7 +254,6 @@ class AnalysisReport:
             },
             "necessary_conditions": self.conditions.to_dict(),
             "seed": self.seed,
-            "trials": self.trials,
         }
 
 
@@ -303,10 +272,7 @@ def bound_tier(model: CompartmentalModel) -> str | None:
 
 
 def classify_identifiability(
-    model: CompartmentalModel,
-    seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
-    mode: str | None = None,
+    model: CompartmentalModel, seed: int = 0, mode: str | None = None
 ) -> AnalysisReport:
     """Full rank analysis of a model.
 
@@ -327,7 +293,7 @@ def classify_identifiability(
     cmap = coefficient_map(model, mode)
     tier = bound_tier(model)
     bound = len(model.edges) + len(model.in_union_out) if tier else None
-    rank = jacobian_rank(cmap, seed, trials, bound if full_leaks else None)
+    rank = jacobian_rank(cmap, seed)
     param_count = len(cmap.param_order)
     conditions = necessary_conditions(model)
     if bound is not None and full_leaks and rank > bound:
@@ -362,7 +328,6 @@ def classify_identifiability(
         minimality_warning=cmap.minimality_warning,
         conditions=conditions,
         seed=seed,
-        trials=trials,
     )
 
 
@@ -374,9 +339,7 @@ class ExpectedDimensionResult:
     tier: str  # "path-cycle" | "output-connectable"
 
 
-def expected_dimension_test(
-    model: CompartmentalModel, seed: int = 0, trials: int = DEFAULT_TRIALS
-) -> ExpectedDimensionResult:
+def expected_dimension_test(model: CompartmentalModel, seed: int = 0) -> ExpectedDimensionResult:
     """Does the full-leak model's coefficient map reach rank |E|+|In u Out|?
 
     The bound is certified under (strongly input-output connected, single
@@ -393,14 +356,14 @@ def expected_dimension_test(
             "with one input, or output connectable with one output"
         )
     bound = len(model.edges) + len(model.in_union_out)
-    rank = jacobian_rank(coefficient_map(model, MODE_DIAG), seed, trials, bound)
+    rank = jacobian_rank(coefficient_map(model, MODE_DIAG), seed)
     if rank > bound:
         raise AssertionError(f"rank {rank} exceeds the certified bound {bound}")
     return ExpectedDimensionResult(equals_bound=rank == bound, rank=rank, bound=bound, tier=tier)
 
 
 def is_identifiable_path_cycle_model(
-    model: CompartmentalModel, seed: int = 0, trials: int = DEFAULT_TRIALS
+    model: CompartmentalModel, seed: int = 0
 ) -> tuple[bool, PathCycleBasis]:
     """Expected dimension certifies that every independent cycle and
     input-output path monomial is locally identifiable; returns those
@@ -412,13 +375,11 @@ def is_identifiable_path_cycle_model(
             "needs strongly input-output connected with one output or strongly "
             "connected with one input"
         )
-    result = expected_dimension_test(model, seed, trials)
+    result = expected_dimension_test(model, seed)
     return result.equals_bound, cyclespace.path_cycle_basis(model)
 
 
-def self_cycles_identifiable(
-    model: CompartmentalModel, seed: int = 0, trials: int = DEFAULT_TRIALS
-) -> bool:
+def self_cycles_identifiable(model: CompartmentalModel, seed: int = 0) -> bool:
     """When the full-leak rank reaches |E|+|In u Out| for an
     output-connectable single-output model, every diagonal parameter is a
     locally identifiable function."""
@@ -426,7 +387,7 @@ def self_cycles_identifiable(
         raise HypothesesNotMet("requires a leak in every compartment")
     if len(model.outputs) != 1 or not graphprops.is_output_connectable(model):
         raise HypothesesNotMet("requires an output-connectable model with a single output")
-    result = expected_dimension_test(model, seed, trials)
+    result = expected_dimension_test(model, seed)
     return result.equals_bound
 
 

@@ -38,10 +38,7 @@ class TheoremCertificate:
 
 
 def remove_leaks(
-    model: CompartmentalModel,
-    keep,
-    seed: int = 0,
-    trials: int = identcore.DEFAULT_TRIALS,
+    model: CompartmentalModel, keep, seed: int = 0
 ) -> tuple[CompartmentalModel, TheoremCertificate | None]:
     """Restrict the leak set to ``keep``.
 
@@ -53,7 +50,6 @@ def remove_leaks(
     whose identifiability must be decided by rank analysis (placement
     matters: equal-size leak sets can differ in identifiability).
     """
-    identcore.check_trials(trials)
     keep = frozenset(keep)
     if not keep <= model.leaks:
         raise KeepNotSubsetOfLeak(f"keep set {sorted(keep)} is not a subset of the leak set")
@@ -63,7 +59,7 @@ def remove_leaks(
     if full and model.in_union_out <= keep:
         tier = identcore.bound_tier(model)
         if tier is not None:
-            result = identcore.expected_dimension_test(model, seed, trials)
+            result = identcore.expected_dimension_test(model, seed)
             if result.equals_bound:
                 bound = result.bound
                 claim = f"leak removal preserves coefficient-map dimension {bound}"
@@ -82,10 +78,7 @@ def remove_leaks(
 
 
 def add_leak(
-    model: CompartmentalModel,
-    k: int,
-    seed: int = 0,
-    trials: int = identcore.DEFAULT_TRIALS,
+    model: CompartmentalModel, k: int, seed: int = 0
 ) -> tuple[CompartmentalModel, TheoremCertificate | None]:
     """Add a leak at vertex k.
 
@@ -93,7 +86,6 @@ def add_leak(
     coefficient-map dimension |E|+|In u Out| (under a certifying connectivity
     tier), the enlarged model keeps that dimension.
     """
-    identcore.check_trials(trials)
     if k in model.leaks:
         raise AlreadyLeak(f"vertex {k} already has a leak")
     new_model = model.with_leaks(model.leaks | {k})
@@ -102,7 +94,7 @@ def add_leak(
         tier = identcore.bound_tier(model)
         if tier is not None:
             bound = len(model.edges) + len(model.in_union_out)
-            rank = identcore.jacobian_rank(coefficient_map(model, "explicit"), seed, trials)
+            rank = identcore.jacobian_rank(coefficient_map(model, "explicit"), seed)
             if rank == bound:
                 cert = TheoremCertificate(
                     claim=f"leak addition preserves coefficient-map dimension {bound}",
@@ -116,12 +108,7 @@ def add_leak(
 
 
 def attach_path(
-    model: CompartmentalModel,
-    k: int,
-    l: int,
-    s: int,
-    seed: int = 0,
-    trials: int = identcore.DEFAULT_TRIALS,
+    model: CompartmentalModel, k: int, l: int, s: int, seed: int = 0
 ) -> tuple[CompartmentalModel, TheoremCertificate | None]:
     """Append a directed path of s new leaking vertices from anchor k back
     to anchor l: edges k -> n+1 -> ... -> n+s -> l.
@@ -132,7 +119,6 @@ def attach_path(
     reaches expected dimension, the attachment provably preserves expected
     dimension, and this is recorded as a certificate.
     """
-    identcore.check_trials(trials)
     if s < 1:
         raise ModelError(f"path length s must be >= 1, got {s}")
     for v in (k, l):
@@ -160,7 +146,7 @@ def attach_path(
         and graphprops.is_strongly_connected(model)
     )
     if cycle_context:
-        before = identcore.expected_dimension_test(model, seed, trials)
+        before = identcore.expected_dimension_test(model, seed)
         if before.equals_bound:
             cert = TheoremCertificate(
                 claim=(
@@ -201,9 +187,7 @@ class ConstructionScript:
 
 
 def run_construction(
-    script: ConstructionScript,
-    seed: int = 0,
-    trials: int = identcore.DEFAULT_TRIALS,
+    script: ConstructionScript, seed: int = 0
 ) -> tuple[CompartmentalModel, tuple[TheoremCertificate, ...]]:
     """Build an identifiable one-leak model with input and output in
     compartment 1: grow loops by path attachment (each step verified to keep
@@ -211,18 +195,18 @@ def run_construction(
     model = make_model(1, (), {1}, {1}, {1})
     certs: list[TheoremCertificate] = []
     for step_no, (k, l, s) in enumerate(script.steps, start=1):
-        model, cert = attach_path(model, k, l, s, seed=seed, trials=trials)
+        model, cert = attach_path(model, k, l, s, seed=seed)
         if cert is None:
             raise HypothesesNotMet(f"step {step_no} left the construction context")
         certs.append(cert)
     grown = model
-    after = identcore.expected_dimension_test(grown, seed, trials)
+    after = identcore.expected_dimension_test(grown, seed)
     if not after.equals_bound:
         raise AssertionError(
             f"constructed graph missed expected dimension: rank {after.rank} < {after.bound}"
         )
-    final, _ = remove_leaks(grown, {script.final_leak}, seed, trials)
-    report = identcore.classify_identifiability(final, seed, trials)
+    final, _ = remove_leaks(grown, {script.final_leak}, seed)
+    report = identcore.classify_identifiability(final, seed)
     certs.append(
         TheoremCertificate(
             claim="full-cycle-space model restricted to one leak is locally identifiable",

@@ -21,7 +21,7 @@ from sympy.polys.rings import ring
 
 from identkit import census, graphprops
 from identkit.census import CELLS, edge_slots, row_feasibility
-from identkit.identcore import DEFAULT_TRIALS, derived_rng, jacobian_ranks
+from identkit.identcore import jacobian_ranks
 from identkit.model import CompartmentalModel, Param, compartmental_matrix, make_model
 from identkit.sympoly import SparsePoly, VarTable, char_poly_coeffs
 
@@ -387,9 +387,10 @@ def enumerate_graphs(n: int, m: int, start: int = 0, stop: int | None = None):
     return islice(combinations(edge_slots(n), m), start, stop)
 
 
-def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dict[str, bool]:
+def _labeled_bits(n: int, edges, seeds, key, feas: dict[str, bool]) -> dict[str, bool]:
     """Classification bits of one labeled graph, its roles fixed at the labels
-    1, 2 and 3; keys follow CELLS."""
+    1, 2 and 3; keys follow CELLS.  Each rank is the maximum over one point
+    per seed of ``seeds``, drawn by the stream (seed, ``key``)."""
     m = len(edges)
     out = {name: False for name in CELLS}
     sc = strongly_connected_raw(n, edges)
@@ -417,8 +418,9 @@ def _labeled_bits(n: int, edges, rng, feas: dict[str, bool], trials: int) -> dic
         for pos in cfg_positions:
             start = n + (n - 1) * positions.index(pos)
             rows += range(start, start + n - 1)
-        subsets.append((rows, bound))
-    ranks = jacobian_ranks(polys, matrix.table, rng, trials, subsets)
+        subsets.append(rows)
+    per_seed = [jacobian_ranks(polys, matrix.table, seed, key, subsets) for seed in seeds]
+    ranks = [max(r) for r in zip(*per_seed)]
     for (name, _, _, bound), rank in zip(active, ranks):
         assert rank <= bound, (name, rank, bound, edges)
         out[name] = rank == bound
@@ -466,19 +468,21 @@ def labeled_representatives(n: int, m: int):
 
 
 @lru_cache(maxsize=None)
-def labeled_census(n: int, m: int, seed: int = 0, trials: int = 3) -> dict[str, tuple[int, ...] | None]:
+def labeled_census(n: int, m: int, seed: int = 0) -> dict[str, tuple[int, ...] | None]:
     """The member graph indices of each census cell at (n, m) (None for NA),
     found graph by graph over every labeled digraph.
 
     This is the reference for the census's isomorphism-class reduction: no
-    relabeling, automorphism or orbit weight is involved.  Each graph draws
-    its points from its own stream, keyed by (seed, n, m, graph index).
+    relabeling, automorphism or orbit weight is involved.  Each graph is
+    ranked at one point per seed s, s + 1 and s + 2, so mod each of the three
+    primes, and keeps the largest rank; the point of seed t is drawn by the
+    stream (t, n, m, graph index).
     """
     feas = row_feasibility(n, m)
     members: dict[str, list[int]] = {name: [] for name in CELLS}
     for idx, edges in enumerate(enumerate_graphs(n, m)):
-        rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
-        for name, bit in _labeled_bits(n, edges, rng, feas, trials).items():
+        key = ("census", f"{n}:{m}:{idx}")
+        for name, bit in _labeled_bits(n, edges, (seed, seed + 1, seed + 2), key, feas).items():
             if bit:
                 members[name].append(idx)
     return {name: tuple(members[name]) if feas[name] else None for name in CELLS}
@@ -491,7 +495,7 @@ def labeled_census(n: int, m: int, seed: int = 0, trials: int = 3) -> dict[str, 
 # with the oracles above.
 
 
-def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT_TRIALS):
+def cell_members(n: int, m: int, cell: str, seed: int = 0):
     """Labeled graph indices (and edge sets) that the census counts in one
     cell, in index order.
 
@@ -499,16 +503,16 @@ def cell_members(n: int, m: int, cell: str, seed: int = 0, trials: int = DEFAULT
     whose role tuple (1..k) is p^-1(1..k) in G; p(G) is a member when that
     tuple lies in a member orbit of G.
     """
-    return sorted(_members_by_seed(n, m, cell, (seed,), trials)[seed].items())
+    return sorted(_members_by_seed(n, m, cell, (seed,))[seed].items())
 
 
-def _members_by_seed(n: int, m: int, cell: str, seeds, trials: int) -> dict:
+def _members_by_seed(n: int, m: int, cell: str, seeds) -> dict:
     """Per seed, the members of ``cell`` as {labeled index: edges}, from one
     generation of the row's classes; each class draws from the census's own
     stream, keyed by (seed, n, m, index of its representative)."""
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
-    census.check_row(n, m, trials)
+    census.check_row(n, m)
     slots = edge_slots(n)
     slot_of = {e: k for k, e in enumerate(slots)}
     # an expdim cell with an output 2 ranks only the tuples of its sioc cell
@@ -519,8 +523,7 @@ def _members_by_seed(n: int, m: int, cell: str, seeds, trials: int) -> dict:
     for seed in seeds:
         members = {}
         for idx, edges, aut in classes:
-            rng = derived_rng(seed, "census", f"{n}:{m}:{idx}")
-            held = census._evaluate_class(n, edges, aut, rng, feas, trials)[cell]
+            held = census._evaluate_class(n, edges, aut, seed, ("census", f"{n}:{m}:{idx}"), feas)[cell]
             if not held:
                 continue
             k = len(next(iter(held)))
@@ -540,7 +543,6 @@ def discrepancy_report(
     cell: str,
     expected: int,
     seeds=(0, 1, 2),
-    trials: int = DEFAULT_TRIALS,
     sample: int = 50,
 ) -> dict:
     """Evidence bundle for a cell that disagrees with a reference count.
@@ -551,7 +553,7 @@ def discrepancy_report(
     """
     if not seeds:
         raise ValueError("discrepancy_report needs at least one seed")
-    per_seed_members = _members_by_seed(n, m, cell, seeds, trials)
+    per_seed_members = _members_by_seed(n, m, cell, seeds)
     union = sorted(set().union(*per_seed_members.values()))
     unstable = [idx for idx in union if not all(idx in per_seed_members[s] for s in seeds)]
     base = per_seed_members[seeds[0]]

@@ -163,9 +163,10 @@ def test_criterion_1_census_small_tier(n, m):
 @pytest.mark.parametrize("n,m", sorted(REFERENCE_ROWS))
 def test_orbit_census_matches_labeled_census(n, m, jobs):
     """The census classifies one graph per isomorphism class; graph by graph
-    over every labeled digraph, the same counts come out.  The census runs
-    its default trials and the labeled oracle three, so this also checks
-    that one trial decides every reference row as three do."""
+    over every labeled digraph, the same counts come out.  The census ranks
+    at one point, mod the prime of seed 42, and the labeled oracle at one
+    point per seed 42, 43 and 44, so mod all three primes: this also checks
+    that one point decides every reference row as three primes do."""
     exact = labeled_census(n, m, seed=42)
     row = census_row(n, m, seed=42, jobs=jobs)
     assert row.cells() == {name: None if exact[name] is None else len(exact[name]) for name in CELLS}
@@ -195,7 +196,7 @@ SLOW_TIER = [
 )
 def test_committed_discrepancy_bundle_is_reproduced(n, m, cell, expected):
     """Each evidence bundle kept next to this module is what
-    ``discrepancy_report`` gives today with its default seeds and trials."""
+    ``discrepancy_report`` gives today with its default seeds."""
     path = os.path.join(os.path.dirname(__file__), f"discrepancy_{n}_{m}_{cell}.json")
     with open(path, encoding="utf-8") as fh:
         committed = json.load(fh)

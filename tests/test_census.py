@@ -257,12 +257,11 @@ class TestCheckpointing(object):
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 2)
         full = census_row(3, 3, seed=5)
         # simulate an interrupted run: process only the first block
-        trials = census_mod.DEFAULT_TRIALS
-        partial_counts = census_mod._eval_chunk((3, 3, representatives(3, 3)[:2], 5, trials))
+        partial_counts = census_mod._eval_chunk((3, 3, representatives(3, 3)[:2], 5))
         with open(path, "w") as fh:
             json.dump(
                 {
-                    "format": census_mod.CHECKPOINT_FORMAT, "n": 3, "m": 3, "seed": 5, "trials": trials,
+                    "format": census_mod.CHECKPOINT_FORMAT, "n": 3, "m": 3, "seed": 5,
                     "next_class": 2, "counts": partial_counts,
                 },
                 fh,
@@ -328,17 +327,25 @@ class TestCheckpointing(object):
         assert census_row(3, 0, seed=5, jobs=2) == census_row(3, 0, seed=5)
         assert sizes == [4]  # one class: no pool
 
-    def test_checkpoint_of_other_trials_is_ignored(self, tmp_path):
+    def test_checkpoint_of_trials_format_is_ignored(self, tmp_path):
+        """A finished checkpoint is reused, so doctored counts come back; one
+        of the "class-blocks" format, whose rows at seed s worked mod
+        PRIMES[0] for every s, is ignored and overwritten."""
         path = str(tmp_path / "ckpt.json")
-        census_row(3, 3, seed=5, trials=1, checkpoint_path=path)
+        row = census_row(3, 3, seed=5, checkpoint_path=path)
         done = json.load(open(path))
-        assert done["trials"] == 1 and done["next_class"] == 4
-        # doctored counts show whether the finished trials-1 file is reused
+        assert done == {
+            "format": census_mod.CHECKPOINT_FORMAT, "n": 3, "m": 3, "seed": 5,
+            "next_class": 4, "counts": [getattr(row, name) for name in CELLS],
+        }
+        doctored = {**done, "counts": [0] * 7}
         with open(path, "w") as fh:
-            json.dump({**done, "counts": [0] * 7}, fh)
-        row = census_row(3, 3, seed=5, trials=3, checkpoint_path=path)
-        assert row == census_row(3, 3, seed=5, trials=3)
-        assert json.load(open(path))["trials"] == 3
+            json.dump(doctored, fh)
+        assert set(census_row(3, 3, seed=5, checkpoint_path=path).cells().values()) == {0}
+        with open(path, "w") as fh:
+            json.dump({**doctored, "format": "class-blocks", "trials": 1}, fh)
+        assert census_row(3, 3, seed=5, checkpoint_path=path) == row
+        assert json.load(open(path)) == done
 
     def test_checkpoint_of_labeled_census_is_ignored(self, tmp_path):
         """A file without the format field holds per-labeled-graph block counts,
@@ -382,8 +389,9 @@ class TestOutputs:
         assert lines[0] == "n,m,total," + ",".join(CELLS)
         assert lines[1] == "3,2,15,NA,NA,NA,1,1,3,3"
         meta = str(tmp_path / "census.meta.json")
-        write_sidecar(rows, meta, seed=0, trials=3, runtime_seconds=1.5)
+        write_sidecar(rows, meta, seed=0, runtime_seconds=1.5)
         doc = json.load(open(meta))
+        assert set(doc) == {"seed", "runtime_seconds", "rows"}
         assert doc["seed"] == 0 and len(doc["rows"]) == 2
         assert doc["rows"][0]["strongly_connected"] is None
 

@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import identkit
-from identkit.cli import main
-from identkit.identcore import DEFAULT_TRIALS
+from identkit import census
+from identkit.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -106,15 +106,6 @@ class TestAnalyze:
             "message": "diag mode requires a leak in every compartment",
         }
 
-    def test_zero_trials_rejected(self, capsys):
-        code, out = run(
-            capsys,
-            "analyze", "--model", fixture("cascade_exchange.json"), "--leaks", "all",
-            "--trials", "0", "--format", "json",
-        )
-        assert code == 1
-        assert json.loads(out)["error"] == "ModelError"
-
 
 @pytest.mark.parametrize(
     "argv",
@@ -182,12 +173,25 @@ class TestIoeq:
 
 
 @pytest.mark.parametrize("command", ["ioeq", "cyclespace"])
-def test_commands_without_random_points_take_no_seed(capsys, command):
-    code, out = run(capsys, command, "--model", fixture("cascade_exchange.json"))
+def test_commands_without_random_points_take_no_seed(capsys, tmp_path, command):
+    """ioeq and cyclespace take neither --seed nor --trials; no command takes
+    --trials, since the seed alone picks the prime and the point."""
+    model = fixture("cascade_exchange.json")
+    code, out = run(capsys, command, "--model", model)
     assert code == 0 and "seed=n/a" in out
-    for flag in ("--seed", "--trials"):
-        with pytest.raises(SystemExit):
-            main([command, "--model", fixture("cascade_exchange.json"), flag, "1"])
+    usage_errors = [[command, "--model", model, flag, "1"] for flag in ("--seed", "--trials")]
+    for valid in (
+        ["analyze", "--model", model],
+        ["transform", "--model", fixture("fan_in.json"), "--remove-leaks", "1"],
+        ["construct", "--script", fixture("construct_loop_with_tail.json")],
+        ["census", "--n", "3", "--m", "3", "--out", str(tmp_path / "rows.csv")],
+    ):
+        build_parser().parse_args(valid)
+        usage_errors.append(valid + ["--trials", "3"])
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 class TestCyclespace:
@@ -247,21 +251,6 @@ class TestTransform:
         )
         doc = json.loads(out)
         assert code == 0 and doc["model"]["n"] == 6
-
-    @pytest.mark.parametrize(
-        "transform",
-        [["--remove-leaks", "1"], ["--leaks", "2", "--add-leak", "1"], ["--attach-path", "3,1,1"]],
-        ids=["remove-leaks", "add-leak", "attach-path"],
-    )
-    def test_zero_trials_rejected(self, capsys, transform):
-        """Rejected even when the transform would draw no rank."""
-        code, out = run(
-            capsys,
-            "transform", "--model", fixture("fan_in.json"), *transform, "--trials", "0",
-            "--format", "json",
-        )
-        assert code == 1
-        assert json.loads(out) == {"error": "ModelError", "message": "trials must be at least 1, got 0"}
 
     def test_exactly_one_transform_required(self, capsys):
         code, _ = run(
@@ -483,16 +472,29 @@ class TestCensusCommand:
         meta = json.load(open(out_path + ".meta.json"))
         assert meta["seed"] == 42 and "runtime_seconds" in meta
 
-    def test_zero_trials_rejected(self, capsys, tmp_path):
-        out_path = str(tmp_path / "rows.csv")
-        code, out = run(
-            capsys,
-            "census", "--n", "3", "--m", "3", "--trials", "0", "--out", out_path,
-            "--format", "json",
-        )
+    def test_missing_out_dir_fails_before_the_first_row(self, capsys, tmp_path, monkeypatch):
+        """A missing or read-only directory of --out gives the error document
+        that writing the CSV would give, before any row is counted."""
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("census_table called")
+
+        monkeypatch.setattr(census, "census_table", no_rows)
+        missing = str(tmp_path / "nonexistent" / "x.csv")
+        code, out = run(capsys, "census", "--n", "3", "--m", "3", "--out", missing, "--format", "json")
         assert code == 1
-        assert json.loads(out)["error"] == "ModelError"
-        assert not os.path.exists(out_path)
+        assert json.loads(out) == {
+            "error": "FileNotFoundError",
+            "message": f"[Errno 2] No such file or directory: {missing!r}",
+        }
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        read_only = str(tmp_path / "x.csv")
+        code, out = run(capsys, "census", "--n", "3", "--m", "3", "--out", read_only, "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "PermissionError",
+            "message": f"[Errno 13] Permission denied: {read_only!r}",
+        }
 
     @pytest.mark.parametrize("n, m", [("0", "0"), ("3", "99"), ("3", "-1"), ("8", "0")])
     def test_impossible_row_rejected(self, capsys, tmp_path, n, m):
@@ -505,7 +507,7 @@ class TestCensusCommand:
         assert not os.path.exists(out_path)
 
     def test_impossible_row_makes_no_checkpoint_dir(self, capsys, tmp_path):
-        for row in (["--n", "0", "--m", "0"], ["--n", "3", "--m", "3", "--trials", "0"]):
+        for row in (["--n", "0", "--m", "0"], ["--n", "3", "--m", "3", "--jobs", "0"]):
             ck = tmp_path / "ck"
             code, out = run(
                 capsys,
@@ -535,7 +537,7 @@ class TestCensusCommand:
         [
             "garbage",
             "[1, 2]",
-            json.dumps({"format": "class-blocks", "n": 3, "m": 3, "seed": 0, "trials": DEFAULT_TRIALS}),
+            json.dumps({"format": census.CHECKPOINT_FORMAT, "n": 3, "m": 3, "seed": 0}),
         ],
         ids=["not-json", "not-an-object", "no-counts"],
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations, permutations, product
 
@@ -11,7 +12,6 @@ import sympy
 import identkit.graphprops as graphprops
 import identkit.identcore as identcore
 from identkit.identcore import (
-    DEFAULT_TRIALS,
     PRIMES,
     HypothesesNotMet,
     classify_identifiability,
@@ -27,7 +27,7 @@ from identkit.identcore import (
 )
 from identkit.graphprops import is_strongly_connected, is_strongly_input_output_connected
 from identkit.ioeq import NoInputReachesOutput, coefficient_map
-from identkit.model import MODE_DIAG, MODE_EXPLICIT, ModelError, make_model
+from identkit.model import MODE_DIAG, MODE_EXPLICIT, load_model, make_model
 from identkit.sympoly import SparsePoly, VarTable
 
 from conftest import (
@@ -40,6 +40,8 @@ from conftest import (
     star_two_exchanges,
 )
 from oracles import sympy_gradient_mod_p, sympy_rank_mod_p
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 class TestJacobianRank:
@@ -56,65 +58,38 @@ class TestJacobianRank:
     def test_single_compartment(self):
         m = make_model(1, [], {1}, {1}, {1})
         assert jacobian_rank(coefficient_map(m, MODE_EXPLICIT), seed=0) == 1
+        empty = coefficient_map(m.with_leaks(set()), MODE_EXPLICIT)
+        assert empty.polys == ()
+        assert jacobian_rank(empty, seed=0) == 0
 
     def test_stability_across_seeds(self):
         cm = coefficient_map(cascade_exchange(), MODE_DIAG)
         assert {jacobian_rank(cm, seed=s) for s in (10, 20, 30)} == {7}
 
-    def test_monotone_in_trials(self):
-        cm = coefficient_map(star_two_exchanges({1, 2, 3, 4}), MODE_DIAG)
-        ranks = [jacobian_rank(cm, seed=5, trials=t) for t in (1, 2, 4)]
-        assert all(a <= b for a, b in zip(ranks, ranks[1:]))
-
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_trials_below_one_rejected(self, trials):
-        cm = coefficient_map(cascade_exchange(), MODE_DIAG)
-        with pytest.raises(ModelError):
-            jacobian_rank(cm, seed=0, trials=trials)
-        empty = coefficient_map(make_model(1, [], {1}, {1}, set()), MODE_EXPLICIT)
-        assert empty.polys == ()
-        with pytest.raises(ModelError):
-            jacobian_rank(empty, seed=0, trials=trials)
-
-
-class TestCertifiedBoundStopsTrials:
-    """A full-leak rank cannot exceed |E| + |In u Out|, so the trials end
-    once it is reached, with the rank that all the trials would give."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """One entry per ``jacobian_at`` call made by the rank engine."""
-        calls = []
+    def test_seed_picks_the_prime(self, monkeypatch):
+        """Seed s evaluates the Jacobian mod PRIMES[s % 3], at one point."""
+        primes = []
         real = identcore.jacobian_at
-        monkeypatch.setattr(identcore, "jacobian_at", lambda *args: calls.append(1) or real(*args))
-        return calls
 
-    def test_rank_at_its_bound_takes_one_trial(self, calls):
-        model = fan_in()
-        cmap = coefficient_map(model, MODE_DIAG)
-        bound = len(model.edges) + len(model.in_union_out)
-        assert bound < min(len(cmap.polys), len(cmap.param_order))
-        for seed in range(5):
-            calls.clear()
-            report = classify_identifiability(model, seed=seed, trials=3)
-            assert (report.jacobian_rank, len(calls)) == (bound, 1)
-            calls.clear()
-            assert expected_dimension_test(model, seed=seed, trials=3).rank == bound
-            assert len(calls) == 1
-            calls.clear()
-            # the same stream, to the target min(#polys, #params)
-            assert jacobian_rank(cmap, seed=seed, trials=3) == bound
-            assert len(calls) == 3
+        def recorded(polys, point, p):
+            primes.append(p)
+            return real(polys, point, p)
 
-    def test_rank_below_its_bound_runs_every_trial(self, calls):
-        report = classify_identifiability(fan_in_bypass(), seed=0, trials=3)
-        assert report.jacobian_rank < report.expected_dimension_bound
-        assert len(calls) == 3
+        monkeypatch.setattr(identcore, "jacobian_at", recorded)
+        cm = coefficient_map(cascade_exchange(), MODE_DIAG)
+        for seed in range(6):
+            primes.clear()
+            assert jacobian_rank(cm, seed=seed) == 7
+            assert primes == [PRIMES[seed % 3]]
 
-    def test_rank_below_its_bound_takes_one_trial_by_default(self, calls):
-        report = classify_identifiability(fan_in_bypass(), seed=0)
-        assert report.jacobian_rank < report.expected_dimension_bound
-        assert (report.trials, len(calls)) == (DEFAULT_TRIALS, 1)
+    @pytest.mark.parametrize("name", sorted(f for f in os.listdir(FIXTURES) if not f.startswith("construct")))
+    def test_fixtures_agree_at_every_prime(self, name):
+        """Seeds 0, 1 and 2 work mod the three primes and give each fixture,
+        as shipped and with a leak in every compartment, one verdict and rank."""
+        model = load_model(os.path.join(FIXTURES, name))
+        for m in (model, model.with_leaks(model.vertices)):
+            reports = [classify_identifiability(m, seed=seed) for seed in (0, 1, 2)]
+            assert len({(r.verdict, r.jacobian_rank) for r in reports}) == 1, name
 
 
 def planted_rows(rng: random.Random, nrows: int, ncols: int, draw, add) -> list:
@@ -210,21 +185,16 @@ class TestRankEngine:
                 return SparsePoly(table, terms)
 
             polys = planted_rows(rng, rng.randint(2, 8), ncols, draw, lambda a, b: a + b)
-            trials = rng.randint(1, 4)
-            for ids_list in subset_families(rng, len(polys)):
-                replay = random.Random(case)
-                expected = [0] * len(ids_list)
-                for t in range(trials):
-                    p = PRIMES[t % len(PRIMES)]
-                    point = random_point(table, replay, p)
-                    jac = [sympy_gradient_mod_p(poly, point, p) for poly in polys]
-                    ranks = [sympy_rank_mod_p([jac[r] for r in ids], p) for ids in ids_list]
-                    expected = [max(a, b) for a, b in zip(expected, ranks)]
-                # targets never reached rank every subset at every trial; reached
-                # targets drop subsets from later trials, changing the shared rows
-                for targets in ([ncols + 1] * len(ids_list), expected):
-                    subsets = list(zip(ids_list, targets))
-                    assert jacobian_ranks(polys, table, random.Random(case), trials, subsets) == expected
+            key = ("planted", str(case))
+            families = subset_families(rng, len(polys))
+            for seed in range(3):
+                # the engine's one point: mod PRIMES[seed % 3], from the stream (seed, key)
+                p = PRIMES[seed % len(PRIMES)]
+                point = random_point(table, identcore.derived_rng(seed, *key), p)
+                jac = [sympy_gradient_mod_p(poly, point, p) for poly in polys]
+                for subsets in families:
+                    expected = [sympy_rank_mod_p([jac[r] for r in ids], p) for ids in subsets]
+                    assert jacobian_ranks(polys, table, seed, key, subsets) == expected
 
 
 class TestClassify:
