@@ -73,7 +73,10 @@ def _parse_m_range(text: str, n: int) -> list[int]:
 
 def _check_out_dir(path: str) -> None:
     """Raise, before any work is done, the error that writing ``path`` would
-    give later when its directory is missing or not writable."""
+    give later when it is a directory, or its directory is missing or not
+    writable."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)

@@ -16,6 +16,18 @@ whose integer content p divides reads as a deficit at every point mod p; a
 rerun at seed + 1 and seed + 2 reaches the other two primes.  Reports keep
 a deficit separate from the certificate-grade structural screens (parameter
 count, exchange, direct edge, short path).
+
+With a leak in every compartment, a_ii = -a_0i - (sum of the outflows of i)
+is a linear change of coordinates with an integer Jacobian of determinant
++-1, and the explicit coefficient map is the diag map composed with it, for
+the submatrix of every output too (both keep the outflows that leave it).
+Composition keeps zero, nonzero, equal and distinct polynomials apart, so
+both maps have as many coefficients; by the chain rule the explicit
+Jacobian at a point is the diag Jacobian at its image times that
+unimodular matrix, so both have one rank mod p.  An explicit analysis of a
+full-leak model therefore ranks the diag map, with a small fraction of the
+terms, at the image of the explicit map's own point (``diag_point``), and
+reports exactly the explicit map's count and rank without expanding it.
 """
 
 from __future__ import annotations
@@ -23,7 +35,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from . import cyclespace, graphprops
 from .cyclespace import PathCycleBasis
@@ -101,25 +114,56 @@ def jacobian_ranks(
     seed: int,
     key: Sequence[str],
     subsets: Sequence[Sequence[int]],
+    substitute: Callable[[tuple[int, ...], int], tuple[int, ...]] | None = None,
 ) -> list[int]:
     """Ranks of row subsets (lists of row ids) of the Jacobian of ``polys``
     (rows) by the parameters of ``table`` (columns), at one point.
 
     The point is drawn from the nonzero residues mod ``p = PRIMES[seed % 3]``
-    by the stream ``derived_rng(seed, *key)``; the Jacobian is evaluated
-    there mod p and every subset is ranked in one ``rank_mod_p`` call.  A
-    rank found mod a prime is a lower bound on the rank over Q, so a full
-    rank is proof-grade; a deficit rests on the random point (Schwartz-Zippel).
+    by the stream ``derived_rng(seed, *key)`` and, when given, mapped by
+    ``substitute(point, p)``; the Jacobian is evaluated there mod p and every
+    subset is ranked in one ``rank_mod_p`` call.  A rank found mod a prime
+    is a lower bound on the rank over Q, so a full rank is proof-grade; a
+    deficit rests on the random point (Schwartz-Zippel).
     """
     p = PRIMES[seed % len(PRIMES)]
     point = random_point(table, derived_rng(seed, *key), p)
+    if substitute is not None:
+        point = substitute(point, p)
     return rank_mod_p(jacobian_at(polys, point, p), p, subsets)
 
 
-def jacobian_rank(cmap: CoefficientMap, seed: int = 0) -> int:
-    """Jacobian rank of the coefficient map at the random point of ``seed``."""
-    key = "|".join(str(p) for p in cmap.param_order) + "#" + str(len(cmap.polys))
-    (rank,) = jacobian_ranks(cmap.polys, cmap.table, seed, ("jacobian", key), [range(len(cmap.polys))])
+def diag_point(model: CompartmentalModel, point: Sequence[int], p: int) -> tuple[int, ...]:
+    """A point of the full-leak ``model``'s explicit parameters (edge rates,
+    then leaks) as one of its diag parameters: the same edge rates, then
+    a_ii = -a_0i - (sum of the outflows of i), mod p."""
+    ne = len(model.edges)
+    diag = [-x for x in point[ne:]]
+    for param, x in zip(model.edge_params(), point):
+        diag[param.j - 1] -= x  # the rate a_ij drains compartment j
+    return (*point[:ne], *(d % p for d in diag))
+
+
+def jacobian_rank(
+    cmap: CoefficientMap, seed: int = 0, *, explicit_of: CompartmentalModel | None = None
+) -> int:
+    """Jacobian rank of the coefficient map at the random point of ``seed``.
+
+    With ``explicit_of``, a full-leak model whose diag map is ``cmap``, the
+    rank is that of the model's explicit map at its own random point, found
+    from ``cmap`` at the point's ``diag_point`` image (module docstring).
+    """
+    order, substitute = cmap.param_order, None
+    if explicit_of is not None:
+        if explicit_of.leaks != frozenset(explicit_of.vertices) or order != tuple(
+            explicit_of.params(MODE_DIAG)
+        ):
+            raise HypothesesNotMet("explicit_of must be a full-leak model whose diag map is cmap")
+        order, substitute = explicit_of.params(MODE_EXPLICIT), partial(diag_point, explicit_of)
+    key = "|".join(str(p) for p in order) + "#" + str(len(cmap.polys))
+    (rank,) = jacobian_ranks(
+        cmap.polys, cmap.table, seed, ("jacobian", key), [range(len(cmap.polys))], substitute
+    )
     return rank
 
 
@@ -290,10 +334,12 @@ def classify_identifiability(
         mode = MODE_DIAG if full_leaks else MODE_EXPLICIT
     else:
         mode = normalize_mode(mode)
-    cmap = coefficient_map(model, mode)
+    # with a leak everywhere the explicit map's count and rank are the diag map's
+    via_diag = full_leaks and mode == MODE_EXPLICIT
+    cmap = coefficient_map(model, MODE_DIAG if via_diag else mode)
     tier = bound_tier(model)
     bound = len(model.edges) + len(model.in_union_out) if tier else None
-    rank = jacobian_rank(cmap, seed)
+    rank = jacobian_rank(cmap, seed, explicit_of=model if via_diag else None)
     param_count = len(cmap.param_order)
     conditions = necessary_conditions(model)
     if bound is not None and full_leaks and rank > bound:

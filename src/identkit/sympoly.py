@@ -251,17 +251,16 @@ def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> l
 
     Each monomial is split into a low half (the first len(values) // 2
     slots) and a high half (the rest).  A half h is decoded once per call
-    into its value v(h) mod p and its gradient k_i * v(h) * x_i^-1 at each
-    slot i with exponent k_i.  The term c * lo * hi has gradient
+    into its value v(h) mod p and its gradient: the derivative by slot i
+    with exponent k_i is k_i * x_i^(k_i - 1) times the product of the
+    half's other factors, read from prefix and suffix products of its
+    factors, so no inverse is taken and a value that is 0 mod p is as good
+    as any other.  The term c * lo * hi has gradient
     c * (v(hi) * grad(lo) + v(lo) * grad(hi)), so a row is the sum, over the
     distinct halves of its terms, of each half's gradient times the summed
     weights c * v(other half) of the terms that contain it.
-
-    Every value must be nonzero mod p; ``pow(x, -1, p)`` raises otherwise,
-    so a zero value cannot give a silently wrong entry.
     """
     ncols = len(values)
-    inverse = [pow(x, -1, p) for x in values]
     split = ncols // 2 * SLOT_BITS  # the first bit of the high half
     low_mask = (1 << split) - 1
     # per half: packed half -> its value, and -> its gradient [(column, entry)]
@@ -274,19 +273,29 @@ def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> l
         """Record the value and gradient of ``half``, whose first slot is
         column ``col``, in ``value`` and ``grad``; returns the value."""
         key = half
+        factors = []  # per factor x^k: column, x^k, k * x^(k-1), product of the factors before it
         v = 1
-        support = []
         while half:
             k = half & SLOT_MASK
             if k:
                 if col == ncols:
                     raise VariableMismatch("cannot evaluate a polynomial containing D")
-                support.append((col, k))
-                v = v * (values[col] if k == 1 else pow(values[col], k, p)) % p
+                x = values[col]
+                if k == 1:
+                    factors.append((col, x, 1, v))
+                else:
+                    x, slope = pow(x, k, p), k * pow(x, k - 1, p) % p
+                    factors.append((col, x, slope, v))
+                v = v * x % p
             half >>= SLOT_BITS
             col += 1
+        rest = 1  # the product of the factors after the current one
+        entries = []
+        for c, power, slope, before in reversed(factors):
+            entries.append((c, before * slope * rest % p))
+            rest = rest * power % p
         value[key] = v
-        grad[key] = [(i, k * v * inverse[i] % p) for i, k in support]
+        grad[key] = entries
         return v
 
     rows = []

@@ -473,13 +473,21 @@ class TestCensusCommand:
         assert meta["seed"] == 42 and "runtime_seconds" in meta
 
     def test_missing_out_dir_fails_before_the_first_row(self, capsys, tmp_path, monkeypatch):
-        """A missing or read-only directory of --out gives the error document
-        that writing the CSV would give, before any row is counted."""
+        """An --out that is a directory, or whose directory is missing or
+        read-only, gives the error document that writing the CSV would give,
+        before any row is counted."""
 
         def no_rows(*args, **kwargs):
             raise AssertionError("census_table called")
 
         monkeypatch.setattr(census, "census_table", no_rows)
+        directory = str(tmp_path)
+        code, out = run(capsys, "census", "--n", "3", "--m", "3", "--out", directory, "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "IsADirectoryError",
+            "message": f"[Errno 21] Is a directory: {directory!r}",
+        }
         missing = str(tmp_path / "nonexistent" / "x.csv")
         code, out = run(capsys, "census", "--n", "3", "--m", "3", "--out", missing, "--format", "json")
         assert code == 1

@@ -27,7 +27,7 @@ from identkit.identcore import (
 )
 from identkit.graphprops import is_strongly_connected, is_strongly_input_output_connected
 from identkit.ioeq import NoInputReachesOutput, coefficient_map
-from identkit.model import MODE_DIAG, MODE_EXPLICIT, load_model, make_model
+from identkit.model import MODE_DIAG, MODE_EXPLICIT, compartmental_matrix, load_model, make_model
 from identkit.sympoly import SparsePoly, VarTable
 
 from conftest import (
@@ -42,6 +42,7 @@ from conftest import (
 from oracles import sympy_gradient_mod_p, sympy_rank_mod_p
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+MODEL_FIXTURES = sorted(f for f in os.listdir(FIXTURES) if not f.startswith("construct"))
 
 
 class TestJacobianRank:
@@ -82,7 +83,7 @@ class TestJacobianRank:
             assert jacobian_rank(cm, seed=seed) == 7
             assert primes == [PRIMES[seed % 3]]
 
-    @pytest.mark.parametrize("name", sorted(f for f in os.listdir(FIXTURES) if not f.startswith("construct")))
+    @pytest.mark.parametrize("name", MODEL_FIXTURES)
     def test_fixtures_agree_at_every_prime(self, name):
         """Seeds 0, 1 and 2 work mod the three primes and give each fixture,
         as shipped and with a leak in every compartment, one verdict and rank."""
@@ -275,6 +276,101 @@ class TestClassify:
             "direct-edge",
             "path-length",
         }
+
+
+class TestFullLeakExplicitRoute:
+    """A full-leak model in explicit mode is ranked through its diag map, and
+    reports the explicit map's own coefficient count and rank."""
+
+    @staticmethod
+    def assert_explicit_report(m, seeds=(0, 1, 2)):
+        explicit = coefficient_map(m, MODE_EXPLICIT)
+        for seed in seeds:
+            report = classify_identifiability(m, seed=seed, mode=MODE_EXPLICIT)
+            assert report.mode == MODE_EXPLICIT
+            assert report.param_count == len(explicit.param_order), m
+            assert report.coeff_count == len(explicit), m
+            assert report.jacobian_rank == jacobian_rank(explicit, seed=seed), (m, seed)
+
+    @pytest.mark.parametrize("name", MODEL_FIXTURES)
+    def test_fixtures_with_all_leaks(self, name):
+        model = load_model(os.path.join(FIXTURES, name))
+        self.assert_explicit_report(model.with_leaks(model.vertices))
+
+    def test_random_full_leak_models(self, rng):
+        cases = 0
+        while cases < 200:
+            m = random_model(rng, n_range=(1, 5), full_leaks=True)
+            try:
+                coefficient_map(m, MODE_DIAG)
+            except NoInputReachesOutput:
+                continue
+            self.assert_explicit_report(m)
+            cases += 1
+
+    def test_only_partial_leaks_build_the_explicit_map(self, monkeypatch):
+        modes = []
+        real = identcore.coefficient_map
+        monkeypatch.setattr(identcore, "coefficient_map", lambda m, mode: modes.append(mode) or real(m, mode))
+        classify_identifiability(cascade_exchange(), seed=0, mode=MODE_EXPLICIT)
+        assert modes == [MODE_DIAG]
+        modes.clear()
+        classify_identifiability(cascade_exchange().with_leaks({1, 2}), seed=0, mode=MODE_EXPLICIT)
+        assert modes == [MODE_EXPLICIT]
+
+    @pytest.mark.parametrize("name", MODEL_FIXTURES)
+    def test_diag_value_zero_mod_p(self, monkeypatch, name):
+        """Leaks drawn so that one diagonal a_vv = -a_0v - (outflows of v)
+        is 0 mod p leave the rank equal to the explicit map's at that point."""
+        model = load_model(os.path.join(FIXTURES, name))
+        m = model.with_leaks(model.vertices)
+        explicit = coefficient_map(m, MODE_EXPLICIT)
+        ne = len(m.edges)
+        real_point, real_jacobian = identcore.random_point, identcore.jacobian_at
+        for v in m.vertices:
+
+            def zero_diagonal(table, rng, p):
+                point = list(real_point(table, rng, p))
+                outflow = sum(x for param, x in zip(m.edge_params(), point) if param.j == v)
+                point[ne + v - 1] = -outflow % p
+                return tuple(point)
+
+            values = []
+
+            def recorded(polys, point, p):
+                values.append(point)
+                return real_jacobian(polys, point, p)
+
+            monkeypatch.setattr(identcore, "random_point", zero_diagonal)
+            monkeypatch.setattr(identcore, "jacobian_at", recorded)
+            for seed in (0, 1, 2):
+                values.clear()
+                report = classify_identifiability(m, seed=seed, mode=MODE_EXPLICIT)
+                (point,) = values
+                assert point[ne + v - 1] == 0
+                assert report.jacobian_rank == jacobian_rank(explicit, seed=seed), (name, v, seed)
+
+    def test_diag_point_is_the_explicit_diagonal(self, rng):
+        """``diag_point`` keeps the edge rates and values each a_vv as the
+        explicit matrix's diagonal entry -a_0v - (outflows of v), mod p."""
+        for _ in range(50):
+            m = random_model(rng, n_range=(1, 6), full_leaks=True)
+            matrix = compartmental_matrix(m, MODE_EXPLICIT)
+            p = rng.choice(PRIMES)
+            point = random_point(matrix.table, rng, p)
+            ne = len(m.edges)
+            diagonal = [
+                sum(c * point[e.index(1)] for e, c in matrix.entry(v, v).terms.items()) % p
+                for v in m.vertices
+            ]
+            assert identcore.diag_point(m, point, p) == point[:ne] + tuple(diagonal), m
+
+    def test_explicit_of_needs_the_models_diag_map(self):
+        m = cascade_exchange()
+        with pytest.raises(HypothesesNotMet):
+            jacobian_rank(coefficient_map(m, MODE_EXPLICIT), explicit_of=m)
+        with pytest.raises(HypothesesNotMet):
+            jacobian_rank(coefficient_map(m, MODE_DIAG), explicit_of=m.with_leaks({1, 2}))
 
 
 class TestExpectedDimension:

@@ -187,10 +187,25 @@ class TestEvaluate:
         with pytest.raises(VariableMismatch):
             jacobian_at([mono(t, a21)], (1,), P)
 
-    def test_value_zero_mod_p_raises(self):
+    def test_values_zero_mod_p(self, rng):
+        """Values that are 0 mod p, in factors with exponent 1 and above,
+        give the oracle's rows: no value is inverted."""
         t = table_for(a21, a32)
-        with pytest.raises(ValueError):
-            jacobian_at([mono(t, a21, a32)], (2, 7), 7)
+        assert jacobian_at([mono(t, a21, a32)], (2, 7), 7) == [[0, 2]]
+        assert jacobian_at([mono(t, a21, a32), mono(t, a21, a21, a32)], (0, 5), 7) == [[5, 0], [0, 0]]
+        t = table_for(a21, a32, a23, a11)
+        for _ in range(100):
+            polys = []
+            for _ in range(rng.randint(1, 3)):
+                terms = {}
+                for _ in range(rng.randint(1, 6)):
+                    terms[tuple(rng.randint(0, 3) for _ in t.params) + (0,)] = rng.randint(-9, 9)
+                polys.append(SparsePoly(t, terms))
+            p = rng.choice((7, 11) + PRIMES)
+            values = [rng.choice((0, p, -2 * p, rng.randint(1, 10**4))) for _ in t.params]
+            values[rng.randrange(len(values))] = rng.choice((0, p))
+            expected = [sympy_gradient_mod_p(poly, values, p) for poly in polys]
+            assert jacobian_at(polys, values, p) == expected
 
     def test_char_poly_outputs_are_d_free(self):
         mat = compartmental_matrix(cascade_exchange(), MODE_DIAG)
