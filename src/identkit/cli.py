@@ -16,10 +16,10 @@ import os
 import sys
 import time
 
-from . import __version__, census, cyclespace, identcore, ioeq, transforms
+from . import __version__, identcore, ioeq
 from .identcore import HypothesesNotMet
 from .ioeq import NoInputReachesOutput
-from .graphprops import CapExceeded, PreconditionViolated
+from .graphprops import DEFAULT_CAP, CapExceeded, PreconditionViolated
 from .model import ModelError, load_model, read_json
 
 _USER_ERRORS = (
@@ -59,6 +59,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_m_range(text: str, n: int) -> list[int]:
+    from . import census
+
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
@@ -156,6 +158,8 @@ def _cmd_ioeq(args) -> int:
 
 
 def _cmd_cyclespace(args) -> int:
+    from . import cyclespace
+
     model = _load(args)
     rank, basis = cyclespace.path_cycle_rank(model, cap=args.cap)
     doc = {
@@ -178,6 +182,8 @@ def _cmd_cyclespace(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import transforms
+
     model = _load(args)
     chosen = [x for x in (args.remove_leaks, args.add_leak, args.attach_path) if x is not None]
     if len(chosen) != 1:
@@ -212,6 +218,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import transforms
+
     doc = read_json(args.script, "construction script", ModelError)
     script = transforms.ConstructionScript.from_dict(doc)
     model, certs = transforms.run_construction(script, seed=args.seed)
@@ -231,6 +239,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import census
+
     m_values = _parse_m_range(args.m, args.n)
     out = args.out or f"census_n{args.n}.csv"
     _check_out_dir(out)
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cyclespace", help="path/cycle monomials and their rank")
     common(p, ranks=False)
-    p.add_argument("--cap", type=int, default=cyclespace.DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_cyclespace)
 
     p = sub.add_parser("transform", help="leak removal/addition or path attachment")

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphprops import CapExceeded
+from .graphprops import DEFAULT_CAP, CapExceeded
 from .model import CompartmentalModel, ModelError, Param
-
-DEFAULT_CAP = 100_000
 
 
 def _closing_walks(adj: dict[int, list[int]], path: list[int], target: int, allowed):

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 from .model import CompartmentalModel
 
+DEFAULT_CAP = 100_000  # cycles or paths a ``cyclespace`` enumeration lists before CapExceeded
+
 
 class CapExceeded(RuntimeError):
     """A cycle or path enumeration (``cyclespace``) grew past its cap."""

@@ -36,13 +36,15 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import cyclespace, graphprops
-from .cyclespace import PathCycleBasis
+from . import graphprops
 from .ioeq import CoefficientMap, coefficient_map, expected_coefficient_count
 from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, normalize_mode
 from .sympoly import SparsePoly, VarTable, jacobian_at
+
+if TYPE_CHECKING:
+    from .cyclespace import PathCycleBasis
 
 # seed s works mod PRIMES[s % 3]: the three largest primes below 2^62
 PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
@@ -414,6 +416,8 @@ def is_identifiable_path_cycle_model(
     """Expected dimension certifies that every independent cycle and
     input-output path monomial is locally identifiable; returns those
     monomials alongside the decision."""
+    from . import cyclespace
+
     if model.leaks != frozenset(model.vertices):
         raise HypothesesNotMet("identifiable path/cycle analysis requires leaks everywhere")
     if bound_tier(model) != "path-cycle":

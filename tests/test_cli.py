@@ -146,6 +146,28 @@ def test_import_loads_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
+def test_analyze_loads_only_the_modules_it_runs():
+    src = os.path.dirname(os.path.dirname(identkit.__file__))
+    unused = ["identkit.census", "identkit.transforms", "identkit.cyclespace", "multiprocessing", "csv"]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import identkit\n"
+        "bare = sorted(name for name in sys.modules if name.startswith('identkit.'))\n"
+        "from identkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['analyze', '--model', sys.argv[1], '--format', 'json'])\n"
+        "print(json.dumps([code, bare, sorted(set(sys.argv[2:]) & set(sys.modules))]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, fixture("fan_in.json"), *unused],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [0, [], []]
+
+
 class TestIoeq:
     def test_text_output(self, capsys):
         code, out = run(capsys, "ioeq", "--model", fixture("cascade_exchange.json"))
