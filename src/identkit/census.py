@@ -33,13 +33,15 @@ For a representative G with automorphism group Aut(G), the
 k roles adds (n-k)!/|Stab(t)| for each Aut-orbit of ordered role tuples t
 that is a member: that many labeled graphs are G with t relabeled to 1..k.
 One reachability closure of G (``graphprops.closure``) gives its
-distances and decides strong connectivity and, by ``graphprops.sioc``, the
-strong input-output connectivity of every role tuple.  A tuple whose bound
+distances and decides strong connectivity and the strong input-output
+connectivity of every role tuple, whose one output b must be in ``common``
+and whose inputs' reach masks must cover every vertex.  A tuple whose bound
 |E| + |In u Out| exceeds the paper's expected coefficient count
 (``ioeq.coefficient_count`` of its input-output distances) ranks below the
-bound at every point: it is a proof-grade non-member and is neither
-expanded nor ranked.  One expansion of G's characteristic matrix gives the
-cofactors of the other tuples, and one call of the rank engine ranks them.
+bound at every point: it is a proof-grade non-member and is not ranked.
+One call of ``identcore.graph_ranks`` ranks the other tuples' row subsets,
+each exactly as the expanded Jacobian ranks at the class's point, whatever
+values the engine draws after it.
 
 Counting is deterministic for a fixed seed regardless of worker count: the
 seed picks the prime (``PRIMES[seed % 3]``), each class draws its one point
@@ -64,10 +66,9 @@ from multiprocessing import Pool
 from operator import or_
 
 from . import graphprops
-from .identcore import jacobian_ranks
+from .identcore import graph_ranks
 from .ioeq import coefficient_count
-from .model import ModelError, compartmental_matrix, make_model, read_json
-from .sympoly import char_poly_coeffs
+from .model import ModelError, read_json
 
 CHECKPOINT_EVERY = 10_000  # classes per checkpoint block
 # counts summed over the first next_class classes, ranked mod PRIMES[seed % 3]
@@ -236,24 +237,25 @@ def _evaluate_class(n: int, edges, aut, seed: int, key, feas: dict[str, bool]) -
     the place of label 1, b in that of 2 and c in that of 3.  The
     ``strongly_connected`` cell has the empty tuple.  Cells that ``feas``
     marks False are left empty.  The rank tests draw their one point by
-    ``jacobian_ranks(..., seed, key, ...)``.
+    ``graph_ranks(..., seed, key, ...)``.
     """
     m = len(edges)
     singles, pairs, triples = (_tuple_orbits(n, k, aut) for k in (1, 2, 3))
     held: dict[str, dict] = {name: {} for name in CELLS}
     graph = graphprops.closure(n, edges)
-    sc = graph.common == (1 << n) - 1
+    full, reach = (1 << n) - 1, [0, *graph.reach]  # reach by 1-based vertex
+    sc = graph.common == full
     if sc:
         held["strongly_connected"][()] = 1
-    if feas["sioc_in1_out2"]:
+    if feas["sioc_in1_out2"]:  # graphprops.sioc with one input and one output
         held["sioc_in1_out2"] = {
-            (a, b): size for (a, b), size in pairs.items() if graphprops.sioc(graph, (a,), (b,))
+            (a, b): size for (a, b), size in pairs.items() if reach[a] == full and graph.common >> (b - 1) & 1
         }
     if feas["sioc_in13_out2"]:
         held["sioc_in13_out2"] = {
             (a, b, c): size
             for (a, b, c), size in triples.items()
-            if graphprops.sioc(graph, (a, c), (b,))
+            if graph.common >> (b - 1) & 1 and reach[a] | reach[c] == full
         }
 
     # (cell, role tuple, orbit size, cofactor positions, rank bound) per rank test
@@ -281,19 +283,16 @@ def _evaluate_class(n: int, edges, aut, seed: int, key, feas: dict[str, bool]) -
     if not tests:
         return held
 
-    model = make_model(n, edges, {1}, {1}, range(1, n + 1))
-    matrix = compartmental_matrix(model, "diag")
     # jacobian rows by position: the n char-poly coefficients, then n - 1 per cofactor
     positions = list(dict.fromkeys(pos for test in tests for pos in test[3]))
     block = {pos: n + (n - 1) * k for k, pos in enumerate(positions)}
-    polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
     # one row subset per cofactor set: the role tuples (a, b, c) and (a, c, b)
     # of expdim_in1_out23, for one, rank the same rows
     subsets: dict[frozenset, list[int]] = {}
     for _, _, _, cofactors, _ in tests:
         rows = list(range(n)) + [r for pos in cofactors for r in range(block[pos], block[pos] + n - 1)]
         subsets.setdefault(frozenset(cofactors), rows)
-    rank_of = dict(zip(subsets, jacobian_ranks(polys, matrix.table, seed, key, list(subsets.values()))))
+    rank_of = dict(zip(subsets, graph_ranks(n, edges, seed, key, positions, list(subsets.values()))))
     for name, t, size, cofactors, bound in tests:
         rank = rank_of[frozenset(cofactors)]
         if rank > bound:

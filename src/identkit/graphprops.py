@@ -5,9 +5,9 @@ v), which keeps the per-graph cost low enough for exhaustive censuses.  One
 breadth-first search per vertex (``closure``) gives every distance and every
 reach mask of a graph; strong connectivity, strong input-output
 connectivity (``sioc``), output connectability and dist(i, j) are read from
-it, by the census per class and by a model from its memoized
-``CompartmentalModel.closure``.  Inductive strong connectivity grows one
-vertex set from its start, in O(n^2) mask operations.
+it, by a model from its memoized ``CompartmentalModel.closure``, and by the
+census per class.  Inductive strong connectivity grows one vertex set from
+its start, in O(n^2) mask operations.
 """
 
 from __future__ import annotations

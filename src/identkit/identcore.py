@@ -1,33 +1,42 @@
 """Rank-based identifiability decisions and structural necessary conditions.
 
 Local identifiability is decided by the generic rank of the Jacobian of the
-coefficient map, evaluated at one point per rank.  The seed picks the prime
-``p = PRIMES[seed % 3]``, one of the three largest below 2^62, and, with a
-key naming what is ranked, the point: drawn uniformly from the nonzero
-residues mod p.  The gradient of every coefficient polynomial is evaluated
-there in one pass over its terms (no symbolic partial derivative is built).
-``jacobian_ranks`` is the one rank engine, shared with the census.
+coefficient map at one point, by linear algebra mod p in time polynomial in
+n, with no determinant expanded (S. Sedoglavic, J. Symbolic Comput. 33,
+2002).  The seed picks the prime ``p = PRIMES[seed % 3]``, one of the three
+largest below 2^62, and, with a key naming what is ranked, the point theta,
+drawn uniformly from the nonzero residues mod p.
+
+Why the rank is exact.  For an output j whose reachable set H has d
+vertices, the Faddeev-LeVerrier recurrence B_{d-1} = I,
+c_k = -tr(A_H B_k)/(d-k), B_{k-1} = A_H B_k + c_k I gives at theta the
+characteristic coefficients c_k and the adjugate adj(lI - A_H) =
+sum_k B_k l^k, whose (j, i) entries (B_k)_ji are input i's cofactor
+coefficients.  Since d det(lI - A)/dA_uv = -adj(lI - A)_vu, the row of c_k
+is exactly dc_k/dA_uv = -(B_k)_vu.  The gradient g(l) of adj_ji(l) is
+sum_k l^k grad (B_k)_ji, so at d - 1 distinct l it is a Vandermonde image
+of the cofactor coefficients' gradients.  With delta = det(lI - A_H) and
+adj = delta (lI - A_H)^-1, the row [adj_ju(l) adj_vi(l)] over the entries
+(u, v) is delta(l) g(l) - adj_ji(l) grad delta(l): for l drawn after theta
+and redrawn while it repeats or delta(l) = 0 mod p, a nonzero multiple of
+g(l) plus characteristic rows.  So every row subset that holds an output's
+characteristic rows with its cofactor blocks has exactly the expanded
+Jacobian's rank at theta.  An explicit parameter is a column operation on
+A's entries (edge s -> t: A[t][s] - A[s][s]; leak v: -A[v][v]).  The
+coefficient count is the number of distinct nonzero values among the c_k
+and (B_k)_ji: equal polynomials have equal values, and distinct or nonzero
+ones keep distinct or nonzero values but for a vanishing chance.
 
 A full rank at an integer point mod a prime is a full rank over Q, so it is
 proof-grade.  A rank deficit is probabilistic: if the maximal minor is
 nonzero mod p, a uniform point in 1..p-1 misses it with probability at most
-d/(p-1) (Schwartz-Zippel, d its degree), below 1.2e-17 at n = 5.  A minor
-whose integer content p divides reads as a deficit at every point mod p; a
-rerun at seed + 1 and seed + 2 reaches the other two primes.  Reports keep
-a deficit separate from the certificate-grade structural screens (parameter
-count, exchange, direct edge, short path).
-
-With a leak in every compartment, a_ii = -a_0i - (sum of the outflows of i)
-is a linear change of coordinates with an integer Jacobian of determinant
-+-1, and the explicit coefficient map is the diag map composed with it, for
-the submatrix of every output too (both keep the outflows that leave it).
-Composition keeps zero, nonzero, equal and distinct polynomials apart, so
-both maps have as many coefficients; by the chain rule the explicit
-Jacobian at a point is the diag Jacobian at its image times that
-unimodular matrix, so both have one rank mod p.  An explicit analysis of a
-full-leak model therefore ranks the diag map, with a small fraction of the
-terms, at the image of the explicit map's own point (``diag_point``), and
-reports exactly the explicit map's count and rank without expanding it.
+d/(p-1) (Schwartz-Zippel, d its degree), below 1.2e-17 at n = 5; the values
+l add nothing to that bound, since the rank is the expanded Jacobian's at
+theta whatever they are.  A minor whose integer content p divides reads as
+a deficit at every point mod p; a rerun at seed + 1 and seed + 2 reaches
+the other two primes.  Reports keep a deficit separate from the
+certificate-grade structural screens (parameter count, exchange, direct
+edge, short path).
 """
 
 from __future__ import annotations
@@ -35,13 +44,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import reduce
+from typing import TYPE_CHECKING, Sequence
 
 from . import graphprops
-from .ioeq import CoefficientMap, coefficient_map, expected_coefficient_count
-from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, normalize_mode
-from .sympoly import SparsePoly, VarTable, jacobian_at
+from .ioeq import NoInputReachesOutput, expected_coefficient_count, minimality_warning
+from .model import MODE_DIAG, MODE_EXPLICIT, CompartmentalModel, ModeRequiresFullLeaks, normalize_mode
 
 if TYPE_CHECKING:
     from .cyclespace import PathCycleBasis
@@ -64,10 +72,10 @@ def derived_rng(seed: int, *key_parts: str) -> random.Random:
     return random.Random(int.from_bytes(h.digest()[:8], "big"))
 
 
-def random_point(table: VarTable, rng: random.Random, p: int) -> tuple[int, ...]:
-    """Parameter values drawn uniformly from 1..p-1, the nonzero residues mod
-    the prime ``p``."""
-    return tuple(rng.randrange(1, p) for _ in table.params)
+def random_point(count: int, rng: random.Random, p: int) -> tuple[int, ...]:
+    """``count`` values drawn uniformly from 1..p-1, the nonzero residues
+    mod the prime ``p``."""
+    return tuple(rng.randrange(1, p) for _ in range(count))
 
 
 def _reduce(row: list[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
@@ -110,63 +118,140 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int, subsets: Sequence[Sequence
     return [shared + _extend([], (residual[r] for r in ids if r not in common), p) for ids in subsets]
 
 
-def jacobian_ranks(
-    polys: Sequence[SparsePoly],
-    table: VarTable,
-    seed: int,
-    key: Sequence[str],
-    subsets: Sequence[Sequence[int]],
-    substitute: Callable[[tuple[int, ...], int], tuple[int, ...]] | None = None,
-) -> list[int]:
-    """Ranks of row subsets (lists of row ids) of the Jacobian of ``polys``
-    (rows) by the parameters of ``table`` (columns), at one point.
+# -- the coefficient map's Jacobian at a point ------------------------------
 
-    The point is drawn from the nonzero residues mod ``p = PRIMES[seed % 3]``
-    by the stream ``derived_rng(seed, *key)`` and, when given, mapped by
-    ``substitute(point, p)``; the Jacobian is evaluated there mod p and every
-    subset is ranked in one ``rank_mod_p`` call.  A rank found mod a prime
-    is a lower bound on the rank over Q, so a full rank is proof-grade; a
-    deficit rests on the random point (Schwartz-Zippel).
-    """
+
+def entry_slots(n: int, edges) -> list[tuple[int, int]]:
+    """The entries (row, column), 0-based, of A's diag-mode parameters in
+    their order: each edge s -> t at (t-1, s-1), sorted, then the diagonal."""
+    return sorted((t - 1, s - 1) for s, t in edges) + [(v, v) for v in range(n)]
+
+
+def point_matrix(model: CompartmentalModel, mode: str, point: Sequence[int], p: int) -> list[list[int]]:
+    """A, 0-based, mod p, at ``point``: the values of ``model.params(mode)``.
+    In explicit mode a_vv = -a_0v - (the outflows of v)."""
+    mode = normalize_mode(mode)
+    if mode == MODE_DIAG and model.leaks != frozenset(model.vertices):
+        raise ModeRequiresFullLeaks("diag mode requires a leak in every compartment")
+    n, ne = model.n, len(model.edges)
+    matrix = [[0] * n for _ in range(n)]
+    if mode == MODE_DIAG:
+        diagonal = list(point[ne:])
+    else:
+        diagonal = [0] * n
+        for v, x in zip(sorted(model.leaks), point[ne:]):
+            diagonal[v - 1] = -x
+    for (t, s), x in zip(entry_slots(n, model.edges), point[:ne]):
+        matrix[t][s] = x
+        if mode == MODE_EXPLICIT:
+            diagonal[s] -= x  # the rate a_ts drains compartment s
+    for v, x in enumerate(diagonal):
+        matrix[v][v] = x % p
+    return matrix
+
+
+def output_rows(matrix, keep: Sequence[int], slots, pairs, rng: random.Random, p: int):
+    """(rows, values): one output's Jacobian rows over the entries ``slots``
+    of ``matrix`` (A mod p) and its coefficient values, for its reachable
+    set ``keep`` and the cofactor positions ``pairs`` (input i, output j),
+    all 0-based.  First the d characteristic coefficients c_{d-1}..c_0,
+    then per pair d - 1 rows at values l drawn from ``rng`` and the values
+    (B_{d-2})_ji..(B_0)_ji (module docstring)."""
+    d = len(keep)
+    local = {v: r for r, v in enumerate(keep)}
+    nonzero = [[(c, x) for c, v in enumerate(keep) if (x := matrix[u][v])] for u in keep]
+    columns = [(k, local[u], local[v]) for k, (u, v) in enumerate(slots) if u in local and v in local]
+    adjugate, values = [], []  # B_{d-1}..B_0 and c_{d-1}..c_0
+    current = [[int(r == c) for c in range(d)] for r in range(d)]
+    for k in range(d - 1, -1, -1):
+        adjugate.append(current)
+        trace = sum(x * current[c][r] for r, row in enumerate(nonzero) for c, x in row)
+        values.append(-trace * pow(d - k, -1, p) % p)
+        if k:  # current = A_H current + c_k I
+            product = []
+            for r, row in enumerate(nonzero):
+                acc = [0] * d
+                for c, x in row:
+                    acc = [a + x * b for a, b in zip(acc, current[c])]
+                acc[r] += values[-1]
+                product.append([a % p for a in acc])
+            current = product
+    rows = []
+    for b in adjugate:
+        rows.append([0] * len(slots))
+        for k, u, v in columns:
+            rows[-1][k] = -b[v][u]
+
+    lams: list[int] = []
+    while pairs and len(lams) < d - 1:
+        lam = rng.randrange(1, p)
+        delta = reduce(lambda acc, c: (acc * lam + c) % p, values, 1)  # det(lI - A_H)
+        if delta and lam not in lams:
+            lams.append(lam)
+
+    def at(vectors, lam):  # sum_k vectors[k] lam^k, by Horner from k = d-1 down
+        return reduce(lambda acc, vec: [(a * lam + b) % p for a, b in zip(acc, vec)], vectors)
+
+    # per l: row j and column i of adj(lI - A_H) for each output j and input i
+    row_of = {j: [b[local[j]] for b in adjugate] for _, j in pairs}
+    column_of = {i: [[r[local[i]] for r in b] for b in adjugate] for i, _ in pairs}
+    rows_at = [{j: at(vectors, lam) for j, vectors in row_of.items()} for lam in lams]
+    columns_at = [{i: at(vectors, lam) for i, vectors in column_of.items()} for lam in lams]
+    for i, j in pairs:
+        for at_j, at_i in zip(rows_at, columns_at):
+            adj_j, adj_i = at_j[j], at_i[i]
+            rows.append([0] * len(slots))
+            for k, u, v in columns:
+                rows[-1][k] = adj_j[u] * adj_i[v]
+        values += [b[local[j]][local[i]] for b in adjugate[1:]]
+    return rows, values
+
+
+def jacobian_rank(model: CompartmentalModel, mode: str, seed: int = 0) -> tuple[int, int]:
+    """(rank, coefficient count) of the model's coefficient map in ``mode``
+    at the point of ``derived_rng(seed, "jacobian", key)``, the key naming
+    the parameters in order."""
+    order = model.params(mode)
     p = PRIMES[seed % len(PRIMES)]
-    point = random_point(table, derived_rng(seed, *key), p)
-    if substitute is not None:
-        point = substitute(point, p)
-    return rank_mod_p(jacobian_at(polys, point, p), p, subsets)
+    rng = derived_rng(seed, "jacobian", "|".join(str(x) for x in order))
+    return point_rank(model, mode, random_point(len(order), rng, p), rng, p)
 
 
-def diag_point(model: CompartmentalModel, point: Sequence[int], p: int) -> tuple[int, ...]:
-    """A point of the full-leak ``model``'s explicit parameters (edge rates,
-    then leaks) as one of its diag parameters: the same edge rates, then
-    a_ii = -a_0i - (sum of the outflows of i), mod p."""
-    ne = len(model.edges)
-    diag = [-x for x in point[ne:]]
-    for param, x in zip(model.edge_params(), point):
-        diag[param.j - 1] -= x  # the rate a_ij drains compartment j
-    return (*point[:ne], *(d % p for d in diag))
+def point_rank(model: CompartmentalModel, mode: str, point, rng: random.Random, p: int) -> tuple[int, int]:
+    """(rank, coefficient count) of the model's coefficient map in ``mode``
+    at ``point``, mod p, with values l from ``rng``; NoInputReachesOutput
+    when no input reaches an output."""
+    slots, matrix = entry_slots(model.n, model.edges), point_matrix(model, mode, point, p)
+    rows, values = [], set()
+    for j in sorted(model.outputs):
+        keep = sorted(graphprops.output_reachable_set(model, j))
+        live = sorted(model.inputs.intersection(keep))
+        if not live:
+            raise NoInputReachesOutput(f"no input has a directed path to output {j}")
+        more, found = output_rows(matrix, [v - 1 for v in keep], slots, [(i - 1, j - 1) for i in live], rng, p)
+        rows += more
+        values.update(found)
+    if mode == MODE_EXPLICIT:  # the chain rule through A's entries
+        ne = len(model.edges)
+        edges = [(k, ne + s) for k, (_, s) in enumerate(slots[:ne])]
+        leaks = [ne + v - 1 for v in sorted(model.leaks)]
+        rows = [[row[k] - row[c] for k, c in edges] + [-row[c] for c in leaks] for row in rows]
+    (rank,) = rank_mod_p(rows, p, [range(len(rows))])
+    return rank, len(values - {0})
 
 
-def jacobian_rank(
-    cmap: CoefficientMap, seed: int = 0, *, explicit_of: CompartmentalModel | None = None
-) -> int:
-    """Jacobian rank of the coefficient map at the random point of ``seed``.
-
-    With ``explicit_of``, a full-leak model whose diag map is ``cmap``, the
-    rank is that of the model's explicit map at its own random point, found
-    from ``cmap`` at the point's ``diag_point`` image (module docstring).
-    """
-    order, substitute = cmap.param_order, None
-    if explicit_of is not None:
-        if explicit_of.leaks != frozenset(explicit_of.vertices) or order != tuple(
-            explicit_of.params(MODE_DIAG)
-        ):
-            raise HypothesesNotMet("explicit_of must be a full-leak model whose diag map is cmap")
-        order, substitute = explicit_of.params(MODE_EXPLICIT), partial(diag_point, explicit_of)
-    key = "|".join(str(p) for p in order) + "#" + str(len(cmap.polys))
-    (rank,) = jacobian_ranks(
-        cmap.polys, cmap.table, seed, ("jacobian", key), [range(len(cmap.polys))], substitute
-    )
-    return rank
+def graph_ranks(n: int, edges, seed: int, key: Sequence[str], pairs, subsets) -> list[int]:
+    """Ranks of the row ``subsets`` of the full-leak diag map of the graph
+    (n, ``edges``) at the point of ``derived_rng(seed, *key)``: the rows of
+    ``output_rows`` on all n vertices for the 1-based cofactor ``pairs``."""
+    p = PRIMES[seed % len(PRIMES)]
+    rng = derived_rng(seed, *key)
+    slots = entry_slots(n, edges)
+    matrix = [[0] * n for _ in range(n)]
+    for (u, v), x in zip(slots, random_point(len(slots), rng, p)):
+        matrix[u][v] = x
+    rows, _ = output_rows(matrix, range(n), slots, [(i - 1, j - 1) for i, j in pairs], rng, p)
+    return rank_mod_p(rows, p, subsets)
 
 
 # -- analysis ---------------------------------------------------------------
@@ -336,19 +421,17 @@ def classify_identifiability(
         mode = MODE_DIAG if full_leaks else MODE_EXPLICIT
     else:
         mode = normalize_mode(mode)
-    # with a leak everywhere the explicit map's count and rank are the diag map's
-    via_diag = full_leaks and mode == MODE_EXPLICIT
-    cmap = coefficient_map(model, MODE_DIAG if via_diag else mode)
+    rank, coeff_count = jacobian_rank(model, mode, seed)
     tier = bound_tier(model)
     bound = len(model.edges) + len(model.in_union_out) if tier else None
-    rank = jacobian_rank(cmap, seed, explicit_of=model if via_diag else None)
-    param_count = len(cmap.param_order)
+    param_count = len(model.params(mode))
+    warn = minimality_warning(model)
     conditions = necessary_conditions(model)
     if bound is not None and full_leaks and rank > bound:
         raise AssertionError(
             f"rank {rank} exceeds the certified bound {bound}; this should be impossible"
         )
-    if cmap.minimality_warning:
+    if warn:
         verdict = "not-applicable"
     elif rank == param_count:
         verdict = "locally-identifiable"
@@ -365,7 +448,7 @@ def classify_identifiability(
         model=model,
         mode=mode,
         param_count=param_count,
-        coeff_count=len(cmap),
+        coeff_count=coeff_count,
         jacobian_rank=rank,
         expected_dimension_bound=bound,
         bound_tier=tier,
@@ -373,7 +456,7 @@ def classify_identifiability(
         strongly_connected=graphprops.is_strongly_connected(model),
         strongly_input_output_connected=graphprops.is_strongly_input_output_connected(model),
         output_connectable=graphprops.is_output_connectable(model),
-        minimality_warning=cmap.minimality_warning,
+        minimality_warning=warn,
         conditions=conditions,
         seed=seed,
     )
@@ -404,7 +487,7 @@ def expected_dimension_test(model: CompartmentalModel, seed: int = 0) -> Expecte
             "with one input, or output connectable with one output"
         )
     bound = len(model.edges) + len(model.in_union_out)
-    rank = jacobian_rank(coefficient_map(model, MODE_DIAG), seed)
+    rank, _ = jacobian_rank(model, MODE_DIAG, seed)
     if rank > bound:
         raise AssertionError(f"rank {rank} exceeds the certified bound {bound}")
     return ExpectedDimensionResult(equals_bound=rank == bound, rank=rank, bound=bound, tier=tier)

@@ -6,6 +6,8 @@ reach j, and cof_ij is the signed (i,j) minor of D*I - A_H.  Row/column
 positions (and hence minor signs) are taken inside A_H after relabeling, not
 from the original vertex labels.  One ``char_poly_coeffs`` call per output
 gives the left-hand side and every input's cofactor from one expansion.
+The expansion serves printed equations and test oracles; ``identcore``
+ranks the map at a point without it.
 
 Note that A_H is the submatrix of the full matrix A: in explicit mode the
 diagonal keeps outflow terms for edges that leave the subgraph, since those
@@ -106,15 +108,17 @@ def coefficient_map(model: CompartmentalModel, mode: str = MODE_EXPLICIT) -> Coe
         for poly in chain(eq.lhs, *(coeffs[1:] for _, coeffs in eq.rhs)):
             if not poly.is_zero():
                 polys.setdefault(poly)
-    warn = len(model.outputs) > 1 and not (
-        graphprops.is_strongly_connected(model) and model.leaks
-    )
     return CoefficientMap(
         polys=tuple(polys),
         param_order=tuple(model.params(mode)),
         table=table,
-        minimality_warning=warn,
+        minimality_warning=minimality_warning(model),
     )
+
+
+def minimality_warning(model: CompartmentalModel) -> bool:
+    """Several outputs, and equations not known to be minimal."""
+    return len(model.outputs) > 1 and not (graphprops.is_strongly_connected(model) and model.leaks)
 
 
 def coefficient_count(n: int, dists, shared: int = 0) -> int:

@@ -24,9 +24,9 @@ from typing import Iterable
 
 from .sympoly import SparsePoly, VarTable
 
-# Models have at most this many compartments.  Identifiability analysis
-# expands determinants over vertex subsets, so it is exponential in n long
-# before this cap; the cap keeps a malformed file from allocating an n x n matrix.
+# Models have at most this many compartments.  Rank analysis is polynomial in
+# n, but printed input-output equations (``identkit ioeq``) expand determinants
+# and are exponential; the cap keeps a malformed file from a huge n x n matrix.
 MAX_VERTICES = 64
 
 MODE_EXPLICIT = "explicit"

@@ -18,12 +18,9 @@ into that form for printing and tests.
 All arithmetic is exact; no floating point appears anywhere in this module.
 :func:`char_poly_coeffs` reads the characteristic polynomial of a matrix and
 any of its signed cofactors from one memoized Laplace expansion of
-``D*I - M``.
-:func:`jacobian_at` evaluates the gradients of D-free polynomials at an
-integer point modulo a prime without building any derivative polynomial:
-each packed monomial is split into a low and a high half of slots, and each
-distinct half is valued and differentiated once per call.  Polynomials built
-over different variable tables cannot be mixed (:class:`VariableMismatch`).
+``D*I - M``; it serves printed input-output equations and test oracles, and
+no rank computation expands a determinant.  Polynomials built over
+different variable tables cannot be mixed (:class:`VariableMismatch`).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1  # the slot's top bit is the guard
 
 
 class VariableMismatch(ValueError):
-    """Operands (or an evaluation point) disagree on the variable table."""
+    """Operands disagree on the variable table."""
 
 
 @dataclass(frozen=True)
@@ -240,90 +237,6 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"
-
-
-# -- gradients at a point ------------------------------------------------
-
-
-def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> list[list[int]]:
-    """Jacobian of D-free ``polys`` (rows) by their parameters (columns) at
-    ``values``, reduced mod the prime ``p``; no derivative is built.
-
-    Each monomial is split into a low half (the first len(values) // 2
-    slots) and a high half (the rest).  A half h is decoded once per call
-    into its value v(h) mod p and its gradient: the derivative by slot i
-    with exponent k_i is k_i * x_i^(k_i - 1) times the product of the
-    half's other factors, read from prefix and suffix products of its
-    factors, so no inverse is taken and a value that is 0 mod p is as good
-    as any other.  The term c * lo * hi has gradient
-    c * (v(hi) * grad(lo) + v(lo) * grad(hi)), so a row is the sum, over the
-    distinct halves of its terms, of each half's gradient times the summed
-    weights c * v(other half) of the terms that contain it.
-    """
-    ncols = len(values)
-    split = ncols // 2 * SLOT_BITS  # the first bit of the high half
-    low_mask = (1 << split) - 1
-    # per half: packed half -> its value, and -> its gradient [(column, entry)]
-    low_value: dict[int, int] = {}
-    low_grad: dict[int, list[tuple[int, int]]] = {}
-    high_value: dict[int, int] = {}
-    high_grad: dict[int, list[tuple[int, int]]] = {}
-
-    def decode(half: int, col: int, value: dict, grad: dict) -> int:
-        """Record the value and gradient of ``half``, whose first slot is
-        column ``col``, in ``value`` and ``grad``; returns the value."""
-        key = half
-        factors = []  # per factor x^k: column, x^k, k * x^(k-1), product of the factors before it
-        v = 1
-        while half:
-            k = half & SLOT_MASK
-            if k:
-                if col == ncols:
-                    raise VariableMismatch("cannot evaluate a polynomial containing D")
-                x = values[col]
-                if k == 1:
-                    factors.append((col, x, 1, v))
-                else:
-                    x, slope = pow(x, k, p), k * pow(x, k - 1, p) % p
-                    factors.append((col, x, slope, v))
-                v = v * x % p
-            half >>= SLOT_BITS
-            col += 1
-        rest = 1  # the product of the factors after the current one
-        entries = []
-        for c, power, slope, before in reversed(factors):
-            entries.append((c, before * slope * rest % p))
-            rest = rest * power % p
-        value[key] = v
-        grad[key] = entries
-        return v
-
-    rows = []
-    for poly in polys:
-        if len(poly.table.params) != ncols:
-            raise VariableMismatch(
-                f"point assigns {ncols} values for {len(poly.table.params)} parameters"
-            )
-        low_weight: dict[int, int] = {}
-        high_weight: dict[int, int] = {}
-        for e, c in poly.packed.items():
-            lo = e & low_mask
-            hi = e >> split
-            v_lo = low_value.get(lo)
-            if v_lo is None:
-                v_lo = decode(lo, 0, low_value, low_grad)
-            v_hi = high_value.get(hi)
-            if v_hi is None:
-                v_hi = decode(hi, ncols // 2, high_value, high_grad)
-            low_weight[lo] = low_weight.get(lo, 0) + c * v_hi
-            high_weight[hi] = high_weight.get(hi, 0) + c * v_lo
-        grad = [0] * ncols
-        for weights, grads in ((low_weight, low_grad), (high_weight, high_grad)):
-            for half, w in weights.items():
-                for i, g in grads[half]:
-                    grad[i] += w * g
-        rows.append([g % p for g in grad])
-    return rows
 
 
 # -- symbolic determinants ---------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from . import graphprops, identcore
 from .identcore import HypothesesNotMet
-from .ioeq import coefficient_map
 from .model import MAX_VERTICES, CompartmentalModel, ModelError, VertexOutOfRange, is_int_list, make_model
 
 
@@ -94,7 +93,7 @@ def add_leak(
         tier = identcore.bound_tier(model)
         if tier is not None:
             bound = len(model.edges) + len(model.in_union_out)
-            rank = identcore.jacobian_rank(coefficient_map(model, "explicit"), seed)
+            rank, _ = identcore.jacobian_rank(model, "explicit", seed)
             if rank == bound:
                 cert = TheoremCertificate(
                     claim=f"leak addition preserves coefficient-map dimension {bound}",

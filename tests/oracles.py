@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations
+from typing import Sequence
 
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -21,9 +22,111 @@ from sympy.polys.rings import ring
 
 from identkit import census, graphprops
 from identkit.census import CELLS, edge_slots, row_feasibility
-from identkit.identcore import jacobian_ranks
+from identkit.identcore import PRIMES, derived_rng, random_point, rank_mod_p
+from identkit.ioeq import CoefficientMap
 from identkit.model import CompartmentalModel, Param, compartmental_matrix, make_model
-from identkit.sympoly import SparsePoly, VarTable, char_poly_coeffs
+from identkit.sympoly import SLOT_BITS, SLOT_MASK, SparsePoly, VarTable, VariableMismatch, char_poly_coeffs
+
+
+# -- the expanded Jacobian: every coefficient expanded, every term walked ----
+
+
+def jacobian_at(polys: Sequence[SparsePoly], values: Sequence[int], p: int) -> list[list[int]]:
+    """Jacobian of D-free ``polys`` (rows) by their parameters (columns) at
+    ``values``, reduced mod the prime ``p``; no derivative is built.
+
+    Each monomial is split into a low half (the first len(values) // 2
+    slots) and a high half (the rest).  A half h is decoded once per call
+    into its value v(h) mod p and its gradient: the derivative by slot i
+    with exponent k_i is k_i * x_i^(k_i - 1) times the product of the
+    half's other factors, read from prefix and suffix products of its
+    factors, so no inverse is taken and a value that is 0 mod p is as good
+    as any other.  The term c * lo * hi has gradient
+    c * (v(hi) * grad(lo) + v(lo) * grad(hi)), so a row is the sum, over the
+    distinct halves of its terms, of each half's gradient times the summed
+    weights c * v(other half) of the terms that contain it.
+    """
+    ncols = len(values)
+    split = ncols // 2 * SLOT_BITS  # the first bit of the high half
+    low_mask = (1 << split) - 1
+    # per half: packed half -> its value, and -> its gradient [(column, entry)]
+    low_value: dict[int, int] = {}
+    low_grad: dict[int, list[tuple[int, int]]] = {}
+    high_value: dict[int, int] = {}
+    high_grad: dict[int, list[tuple[int, int]]] = {}
+
+    def decode(half: int, col: int, value: dict, grad: dict) -> int:
+        """Record the value and gradient of ``half``, whose first slot is
+        column ``col``, in ``value`` and ``grad``; returns the value."""
+        key = half
+        factors = []  # per factor x^k: column, x^k, k * x^(k-1), product of the factors before it
+        v = 1
+        while half:
+            k = half & SLOT_MASK
+            if k:
+                if col == ncols:
+                    raise VariableMismatch("cannot evaluate a polynomial containing D")
+                x = values[col]
+                if k == 1:
+                    factors.append((col, x, 1, v))
+                else:
+                    x, slope = pow(x, k, p), k * pow(x, k - 1, p) % p
+                    factors.append((col, x, slope, v))
+                v = v * x % p
+            half >>= SLOT_BITS
+            col += 1
+        rest = 1  # the product of the factors after the current one
+        entries = []
+        for c, power, slope, before in reversed(factors):
+            entries.append((c, before * slope * rest % p))
+            rest = rest * power % p
+        value[key] = v
+        grad[key] = entries
+        return v
+
+    rows = []
+    for poly in polys:
+        if len(poly.table.params) != ncols:
+            raise VariableMismatch(
+                f"point assigns {ncols} values for {len(poly.table.params)} parameters"
+            )
+        low_weight: dict[int, int] = {}
+        high_weight: dict[int, int] = {}
+        for e, c in poly.packed.items():
+            lo = e & low_mask
+            hi = e >> split
+            v_lo = low_value.get(lo)
+            if v_lo is None:
+                v_lo = decode(lo, 0, low_value, low_grad)
+            v_hi = high_value.get(hi)
+            if v_hi is None:
+                v_hi = decode(hi, ncols // 2, high_value, high_grad)
+            low_weight[lo] = low_weight.get(lo, 0) + c * v_hi
+            high_weight[hi] = high_weight.get(hi, 0) + c * v_lo
+        grad = [0] * ncols
+        for weights, grads in ((low_weight, low_grad), (high_weight, high_grad)):
+            for half, w in weights.items():
+                for i, g in grads[half]:
+                    grad[i] += w * g
+        rows.append([g % p for g in grad])
+    return rows
+
+
+def expanded_ranks(polys, table: VarTable, seed: int, key, subsets) -> list[int]:
+    """Ranks of row subsets of the Jacobian of the expanded ``polys`` at the
+    point the library draws for (seed, key): mod PRIMES[seed % 3], from the
+    stream ``derived_rng(seed, *key)``."""
+    p = PRIMES[seed % len(PRIMES)]
+    point = random_point(len(table.params), derived_rng(seed, *key), p)
+    return rank_mod_p(jacobian_at(polys, point, p), p, subsets)
+
+
+def expanded_rank(cmap: CoefficientMap, seed: int = 0) -> int:
+    """Jacobian rank of the expanded coefficient map at the point that
+    ``identcore.jacobian_rank`` draws for the same parameters and seed."""
+    key = ("jacobian", "|".join(str(x) for x in cmap.param_order))
+    (rank,) = expanded_ranks(cmap.polys, cmap.table, seed, key, [range(len(cmap.polys))])
+    return rank
 
 
 def leibniz_det(rows, table: VarTable) -> SparsePoly:
@@ -419,7 +522,7 @@ def _labeled_bits(n: int, edges, seeds, key, feas: dict[str, bool]) -> dict[str,
             start = n + (n - 1) * positions.index(pos)
             rows += range(start, start + n - 1)
         subsets.append(rows)
-    per_seed = [jacobian_ranks(polys, matrix.table, seed, key, subsets) for seed in seeds]
+    per_seed = [expanded_ranks(polys, matrix.table, seed, key, subsets) for seed in seeds]
     ranks = [max(r) for r in zip(*per_seed)]
     for (name, _, _, bound), rank in zip(active, ranks):
         assert rank <= bound, (name, rank, bound, edges)

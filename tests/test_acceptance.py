@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from identkit.census import CELLS, census_row
-from identkit.identcore import classify_identifiability, jacobian_rank
+from identkit.identcore import classify_identifiability
 from identkit.ioeq import coefficient_map
 from identkit.model import MODE_DIAG
 from identkit.transforms import ConstructionScript, run_construction
@@ -48,7 +48,7 @@ from conftest import (
     star_prime,
     star_two_exchanges,
 )
-from oracles import cell_members, discrepancy_report, expdim_in1_out1_members, labeled_census
+from oracles import cell_members, discrepancy_report, expanded_rank, expdim_in1_out1_members, labeled_census
 
 SLOW_ENABLED = os.environ.get("IDENTKIT_RUN_SLOW_CENSUS") == "1"
 
@@ -270,7 +270,7 @@ class TestCriterion3ExampleRegressions:
 
     def test_output_connectable_example(self):
         with criterion("3 output-connectable rank 4 and identifiability"):
-            rank = jacobian_rank(coefficient_map(fan_in({1, 2, 3}), MODE_DIAG), seed=0)
+            rank = expanded_rank(coefficient_map(fan_in({1, 2, 3}), MODE_DIAG), seed=0)
             assert rank == 4
             assert classify_identifiability(fan_in({1, 2}), seed=0).verdict == "locally-identifiable"
 
@@ -279,7 +279,7 @@ class TestCriterion3ExampleRegressions:
             from itertools import combinations
 
             m = fan_in_bypass()
-            assert jacobian_rank(coefficient_map(m, MODE_DIAG), seed=0) == 4
+            assert expanded_rank(coefficient_map(m, MODE_DIAG), seed=0) == 4
             for leaks in combinations(m.vertices, 2):
                 assert (
                     classify_identifiability(m.with_leaks(leaks), seed=0).verdict
@@ -383,5 +383,5 @@ def test_criterion_5_rank_stability_across_seeds():
         for model in examples:
             mode = MODE_DIAG if model.leaks == frozenset(model.vertices) else "explicit"
             cm = coefficient_map(model, mode)
-            ranks = {jacobian_rank(cm, seed=s) for s in (101, 202, 303)}
+            ranks = {expanded_rank(cm, seed=s) for s in (101, 202, 303)}
             assert len(ranks) == 1, (model, ranks)

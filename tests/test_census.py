@@ -27,7 +27,6 @@ from identkit.census import (
     write_sidecar,
 )
 from identkit.graphprops import closure, sioc
-from identkit.identcore import jacobian_rank
 from identkit.ioeq import coefficient_count, coefficient_map
 from identkit.model import compartmental_matrix, make_model
 from identkit.sympoly import char_poly_coeffs
@@ -36,6 +35,7 @@ from oracles import (
     cell_members,
     discrepancy_report,
     enumerate_graphs,
+    expanded_rank,
     floyd_warshall,
     labeled_census,
     labeled_representatives,
@@ -241,7 +241,7 @@ class TestRows:
             if not sioc_via_augmentation(n, edges, model.inputs, model.outputs):
                 continue
             sioc_23 += 1
-            rank = jacobian_rank(coefficient_map(model, "diag"), seed=3)
+            rank = expanded_rank(coefficient_map(model, "diag"), seed=3)
             if rank == m + 2:
                 expdim_23 += 1
         row = census_row(n, m, seed=3)

@@ -17,18 +17,27 @@ from identkit.identcore import (
     classify_identifiability,
     edge_formula_check,
     expected_dimension_test,
+    graph_ranks,
     is_identifiable_path_cycle_model,
     jacobian_rank,
-    jacobian_ranks,
     necessary_conditions,
+    point_matrix,
+    point_rank,
     random_point,
     rank_mod_p,
     self_cycles_identifiable,
 )
 from identkit.graphprops import is_strongly_connected, is_strongly_input_output_connected
 from identkit.ioeq import NoInputReachesOutput, coefficient_map
-from identkit.model import MODE_DIAG, MODE_EXPLICIT, compartmental_matrix, load_model, make_model
-from identkit.sympoly import SparsePoly, VarTable
+from identkit.model import (
+    MODE_DIAG,
+    MODE_EXPLICIT,
+    ModeRequiresFullLeaks,
+    compartmental_matrix,
+    load_model,
+    make_model,
+)
+from identkit.sympoly import char_poly_coeffs
 
 from conftest import (
     cascade_exchange,
@@ -39,7 +48,7 @@ from conftest import (
     star_prime,
     star_two_exchanges,
 )
-from oracles import sympy_gradient_mod_p, sympy_rank_mod_p
+from oracles import expanded_rank, jacobian_at, sympy_gradient_mod_p, sympy_rank_mod_p
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 MODEL_FIXTURES = sorted(f for f in os.listdir(FIXTURES) if not f.startswith("construct"))
@@ -48,39 +57,43 @@ MODEL_FIXTURES = sorted(f for f in os.listdir(FIXTURES) if not f.startswith("con
 class TestJacobianRank:
     def test_worked_example_rank_seven(self):
         cm = coefficient_map(cascade_exchange(), MODE_DIAG)
-        assert jacobian_rank(cm, seed=0) == 7
+        assert expanded_rank(cm, seed=0) == 7
+        assert jacobian_rank(cascade_exchange(), MODE_DIAG, seed=0) == (7, 7)
 
     def test_fan_in_bypass_rank_four(self):
         m = fan_in_bypass()
         cm = coefficient_map(m, MODE_DIAG)
-        assert jacobian_rank(cm, seed=0) == 4
+        assert expanded_rank(cm, seed=0) == 4
+        assert jacobian_rank(m, MODE_DIAG, seed=0) == (4, len(cm))
         assert len(m.edges) + 2 == 5  # strictly below the would-be bound
 
     def test_single_compartment(self):
         m = make_model(1, [], {1}, {1}, {1})
-        assert jacobian_rank(coefficient_map(m, MODE_EXPLICIT), seed=0) == 1
+        assert expanded_rank(coefficient_map(m, MODE_EXPLICIT), seed=0) == 1
+        assert jacobian_rank(m, MODE_EXPLICIT, seed=0) == (1, 1)
         empty = coefficient_map(m.with_leaks(set()), MODE_EXPLICIT)
         assert empty.polys == ()
-        assert jacobian_rank(empty, seed=0) == 0
+        assert expanded_rank(empty, seed=0) == 0
+        assert jacobian_rank(m.with_leaks(set()), MODE_EXPLICIT, seed=0) == (0, 0)
 
     def test_stability_across_seeds(self):
         cm = coefficient_map(cascade_exchange(), MODE_DIAG)
-        assert {jacobian_rank(cm, seed=s) for s in (10, 20, 30)} == {7}
+        assert {expanded_rank(cm, seed=s) for s in (10, 20, 30)} == {7}
+        assert {jacobian_rank(cascade_exchange(), MODE_DIAG, seed=s) for s in (10, 20, 30)} == {(7, 7)}
 
     def test_seed_picks_the_prime(self, monkeypatch):
-        """Seed s evaluates the Jacobian mod PRIMES[s % 3], at one point."""
+        """Seed s ranks the Jacobian mod PRIMES[s % 3], at one point."""
         primes = []
-        real = identcore.jacobian_at
+        real = identcore.rank_mod_p
 
-        def recorded(polys, point, p):
+        def recorded(rows, p, subsets):
             primes.append(p)
-            return real(polys, point, p)
+            return real(rows, p, subsets)
 
-        monkeypatch.setattr(identcore, "jacobian_at", recorded)
-        cm = coefficient_map(cascade_exchange(), MODE_DIAG)
+        monkeypatch.setattr(identcore, "rank_mod_p", recorded)
         for seed in range(6):
             primes.clear()
-            assert jacobian_rank(cm, seed=seed) == 7
+            assert jacobian_rank(cascade_exchange(), MODE_DIAG, seed=seed) == (7, 7)
             assert primes == [PRIMES[seed % 3]]
 
     @pytest.mark.parametrize("name", MODEL_FIXTURES)
@@ -91,6 +104,99 @@ class TestJacobianRank:
         for m in (model, model.with_leaks(model.vertices)):
             reports = [classify_identifiability(m, seed=seed) for seed in (0, 1, 2)]
             assert len({(r.verdict, r.jacobian_rank) for r in reports}) == 1, name
+
+
+class ScriptedRandom:
+    """A stand-in for ``random.Random`` whose ``randrange`` returns scripted
+    values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randrange(self, start, stop):
+        value = self.values.pop(0)
+        assert start <= value < stop
+        return value
+
+
+class TestEngineCrossCheck:
+    """The engine's rank and coefficient count equal the expanded route's,
+    ``oracles.expanded_rank`` and ``len(coefficient_map(...))``, at the same
+    point."""
+
+    @staticmethod
+    def assert_agree(m, seeds=(0, 1, 2)) -> list[str]:
+        """Checks every mode of ``m``; returns the modes checked."""
+        modes = [MODE_EXPLICIT, MODE_DIAG] if m.leaks == frozenset(m.vertices) else [MODE_EXPLICIT]
+        for mode in modes:
+            cmap = coefficient_map(m, mode)
+            for seed in seeds:
+                assert jacobian_rank(m, mode, seed) == (expanded_rank(cmap, seed), len(cmap)), (m, mode, seed)
+        return modes
+
+    @pytest.mark.parametrize("name", MODEL_FIXTURES)
+    def test_fixtures(self, name):
+        model = load_model(os.path.join(FIXTURES, name))
+        self.assert_agree(model)
+        self.assert_agree(model.with_leaks(model.vertices))
+
+    def test_random_models(self):
+        rng = random.Random(2811)
+        # full leaks rank in diag and explicit mode, partial leaks in explicit
+        seen = dict.fromkeys(("full leaks", "partial leaks", "two inputs", "two outputs"), 0)
+        models = 0
+        while models < 320:
+            m = random_model(rng, n_range=(1, 5), full_leaks=rng.random() < 0.5)
+            try:
+                modes = self.assert_agree(m)
+            except NoInputReachesOutput:
+                continue
+            models += 1
+            seen["full leaks" if len(modes) == 2 else "partial leaks"] += 1
+            seen["two inputs"] += len(m.inputs) == 2
+            seen["two outputs"] += len(m.outputs) == 2
+        assert min(seen.values()) >= 20, seen
+
+    def test_scripted_lambda_stream_reaches_both_redraws(self):
+        """The values l are redrawn at a root of det(lI - A_H) and at a
+        repeat; the rows at the values kept rank as the expanded map."""
+        m = make_model(3, [(3, 2), (2, 1)], {3}, {1}, {1, 2, 3})
+        # diag parameters a12, a23, a11, a22, a33: A is triangular, so
+        # det(lI - A) = (l - 11)(l - 13)(l - 17)
+        point = (5, 7, 11, 13, 17)
+        stream = ScriptedRandom([13, 19, 19, 23])  # a root, a value, its repeat, a value
+        p = PRIMES[0]
+        cmap = coefficient_map(m, MODE_DIAG)
+        (rank,) = rank_mod_p(jacobian_at(cmap.polys, point, p), p, [range(len(cmap))])
+        assert point_rank(m, MODE_DIAG, point, stream, p) == (rank, len(cmap))
+        assert stream.values == []  # two values kept of four drawn
+
+
+class TestPolynomialTime:
+    """Ranks without expansion: the 32-compartment catenary (bidirected
+    path) and mammillary (star of exchanges) models, In = Out = {1}, are
+    expected-dimension with every leak and locally identifiable with the
+    leak {1} alone (leak removal).  Expanding their 32 x 32 determinants
+    over vertex subsets is out of reach."""
+
+    @staticmethod
+    def catenary(n, leaks):
+        return make_model(n, [e for v in range(1, n) for e in ((v, v + 1), (v + 1, v))], {1}, {1}, leaks)
+
+    @staticmethod
+    def mammillary(n, leaks):
+        return make_model(n, [e for v in range(2, n + 1) for e in ((1, v), (v, 1))], {1}, {1}, leaks)
+
+    @pytest.mark.parametrize("shape", ["catenary", "mammillary"])
+    def test_32_compartments(self, shape):
+        n = 32
+        build = getattr(self, shape)
+        full = classify_identifiability(build(n, range(1, n + 1)), seed=0)
+        assert full.verdict == "expected-dimension"
+        assert full.jacobian_rank == full.expected_dimension_bound == 2 * n - 1
+        one = classify_identifiability(build(n, {1}), seed=0)
+        assert one.verdict == "locally-identifiable"
+        assert one.jacobian_rank == one.param_count == 2 * n - 1
 
 
 def planted_rows(rng: random.Random, nrows: int, ncols: int, draw, add) -> list:
@@ -124,7 +230,7 @@ def subset_families(rng: random.Random, nrows: int) -> list[list[list[int]]]:
 
 
 class TestRankEngine:
-    """``rank_mod_p`` and ``jacobian_ranks`` against sympy over GF(p)."""
+    """``rank_mod_p`` and ``graph_ranks`` against sympy over GF(p)."""
 
     def test_primes(self):
         assert len(set(PRIMES)) == len(PRIMES)
@@ -134,17 +240,15 @@ class TestRankEngine:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_random_point_spans_the_nonzero_residues(self, p):
-        table = VarTable(("x",))
         rng = random.Random(5)
-        draws = [v for _ in range(1000) for v in random_point(table, rng, p)]
+        draws = [v for _ in range(1000) for v in random_point(1, rng, p)]
         assert all(1 <= v < p for v in draws)
         assert max(draws) > p // 2
 
     def test_random_point_replays_from_its_seed(self):
-        table = VarTable(tuple(f"x{i}" for i in range(6)))
         p = PRIMES[0]
-        first = random_point(table, random.Random(9), p)
-        assert random_point(table, random.Random(9), p) == first
+        first = random_point(6, random.Random(9), p)
+        assert random_point(6, random.Random(9), p) == first
         assert len(first) == 6
 
     def test_rank_mod_p_matches_oracle(self):
@@ -173,29 +277,31 @@ class TestRankEngine:
         assert rank_mod_p([[p, 2 * p], [1, 1]], p, [[0], [0, 1]]) == [0, 1]
 
     def test_jacobian_ranks_match_oracle(self):
+        """``graph_ranks``, the census's engine, against sympy ranks of the
+        expanded Jacobian at the same point: every subset holds the n
+        characteristic rows and the blocks of some cofactor positions."""
         rng = random.Random(11)
-        for case in range(12):
-            ncols = rng.randint(2, 6)
-            table = VarTable(tuple(f"x{i}" for i in range(ncols)))
-
-            def draw(zero):
-                terms = {}
-                for _ in range(rng.randint(1, 4)):
-                    exp = tuple(0 if c in zero else rng.randint(0, 2) for c in range(ncols)) + (0,)
-                    terms[exp] = rng.randint(-5, 5)
-                return SparsePoly(table, terms)
-
-            polys = planted_rows(rng, rng.randint(2, 8), ncols, draw, lambda a, b: a + b)
+        for case in range(40):
+            n = rng.randint(1, 5)
+            slots = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+            edges = sorted(rng.sample(slots, rng.randint(0, len(slots))))
+            cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            positions = rng.sample(cells, rng.randint(1, min(4, len(cells))))
+            block = {pos: n + (n - 1) * k for k, pos in enumerate(positions)}
+            subsets = [
+                list(range(n))
+                + [r for pos in rng.sample(positions, rng.randint(0, len(positions))) for r in range(block[pos], block[pos] + n - 1)]
+                for _ in range(rng.randint(1, 4))
+            ]
+            matrix = compartmental_matrix(make_model(n, edges, {1}, {1}, range(1, n + 1)), MODE_DIAG)
+            polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
             key = ("planted", str(case))
-            families = subset_families(rng, len(polys))
             for seed in range(3):
-                # the engine's one point: mod PRIMES[seed % 3], from the stream (seed, key)
                 p = PRIMES[seed % len(PRIMES)]
-                point = random_point(table, identcore.derived_rng(seed, *key), p)
+                point = random_point(len(matrix.table.params), identcore.derived_rng(seed, *key), p)
                 jac = [sympy_gradient_mod_p(poly, point, p) for poly in polys]
-                for subsets in families:
-                    expected = [sympy_rank_mod_p([jac[r] for r in ids], p) for ids in subsets]
-                    assert jacobian_ranks(polys, table, seed, key, subsets) == expected
+                expected = [sympy_rank_mod_p([jac[r] for r in ids], p) for ids in subsets]
+                assert graph_ranks(n, edges, seed, key, positions, subsets) == expected, (edges, positions)
 
 
 class TestClassify:
@@ -279,8 +385,8 @@ class TestClassify:
 
 
 class TestFullLeakExplicitRoute:
-    """A full-leak model in explicit mode is ranked through its diag map, and
-    reports the explicit map's own coefficient count and rank."""
+    """A full-leak model in explicit mode reports the explicit map's own
+    coefficient count and rank, from the explicit parameters' columns."""
 
     @staticmethod
     def assert_explicit_report(m, seeds=(0, 1, 2)):
@@ -290,7 +396,7 @@ class TestFullLeakExplicitRoute:
             assert report.mode == MODE_EXPLICIT
             assert report.param_count == len(explicit.param_order), m
             assert report.coeff_count == len(explicit), m
-            assert report.jacobian_rank == jacobian_rank(explicit, seed=seed), (m, seed)
+            assert report.jacobian_rank == expanded_rank(explicit, seed=seed), (m, seed)
 
     @pytest.mark.parametrize("name", MODEL_FIXTURES)
     def test_fixtures_with_all_leaks(self, name):
@@ -308,69 +414,72 @@ class TestFullLeakExplicitRoute:
             self.assert_explicit_report(m)
             cases += 1
 
-    def test_only_partial_leaks_build_the_explicit_map(self, monkeypatch):
-        modes = []
-        real = identcore.coefficient_map
-        monkeypatch.setattr(identcore, "coefficient_map", lambda m, mode: modes.append(mode) or real(m, mode))
-        classify_identifiability(cascade_exchange(), seed=0, mode=MODE_EXPLICIT)
-        assert modes == [MODE_DIAG]
-        modes.clear()
-        classify_identifiability(cascade_exchange().with_leaks({1, 2}), seed=0, mode=MODE_EXPLICIT)
-        assert modes == [MODE_EXPLICIT]
+    def test_no_analysis_expands_a_determinant(self, monkeypatch):
+        """No analysis, in any mode and with any leak set, builds a
+        coefficient map or expands a characteristic determinant."""
+        import identkit.ioeq as ioeq
+        import identkit.sympoly as sympoly
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank path expanded a polynomial")
+
+        for module, name in ((ioeq, "coefficient_map"), (ioeq, "char_poly_coeffs"), (sympoly, "char_poly_coeffs")):
+            monkeypatch.setattr(module, name, refuse)
+        m = cascade_exchange()
+        for model, mode in ((m, MODE_DIAG), (m, MODE_EXPLICIT), (m.with_leaks({1, 2}), MODE_EXPLICIT)):
+            report = classify_identifiability(model, seed=0, mode=mode)
+            assert report.jacobian_rank == report.coeff_count == 7
 
     @pytest.mark.parametrize("name", MODEL_FIXTURES)
-    def test_diag_value_zero_mod_p(self, monkeypatch, name):
+    def test_diag_value_zero_mod_p(self, name):
         """Leaks drawn so that one diagonal a_vv = -a_0v - (outflows of v)
-        is 0 mod p leave the rank equal to the explicit map's at that point."""
+        is 0 mod p, and diag points with a_vv = 0, leave the rank equal to
+        the expanded map's at that point.  (The coefficient count is a
+        count of values at a generic point, and is not compared here.)"""
         model = load_model(os.path.join(FIXTURES, name))
         m = model.with_leaks(model.vertices)
-        explicit = coefficient_map(m, MODE_EXPLICIT)
         ne = len(m.edges)
-        real_point, real_jacobian = identcore.random_point, identcore.jacobian_at
-        for v in m.vertices:
-
-            def zero_diagonal(table, rng, p):
-                point = list(real_point(table, rng, p))
-                outflow = sum(x for param, x in zip(m.edge_params(), point) if param.j == v)
-                point[ne + v - 1] = -outflow % p
-                return tuple(point)
-
-            values = []
-
-            def recorded(polys, point, p):
-                values.append(point)
-                return real_jacobian(polys, point, p)
-
-            monkeypatch.setattr(identcore, "random_point", zero_diagonal)
-            monkeypatch.setattr(identcore, "jacobian_at", recorded)
-            for seed in (0, 1, 2):
-                values.clear()
-                report = classify_identifiability(m, seed=seed, mode=MODE_EXPLICIT)
-                (point,) = values
-                assert point[ne + v - 1] == 0
-                assert report.jacobian_rank == jacobian_rank(explicit, seed=seed), (name, v, seed)
+        for mode in (MODE_EXPLICIT, MODE_DIAG):
+            cmap = coefficient_map(m, mode)
+            for v in m.vertices:
+                for seed in (0, 1, 2):
+                    p = PRIMES[seed % len(PRIMES)]
+                    rng = identcore.derived_rng(seed, name, str(v))
+                    point = list(random_point(len(cmap.param_order), rng, p))
+                    if mode == MODE_EXPLICIT:
+                        outflow = sum(x for param, x in zip(m.edge_params(), point) if param.j == v)
+                        point[ne + v - 1] = -outflow % p
+                    else:
+                        point[ne + v - 1] = 0
+                    assert point_matrix(m, mode, point, p)[v - 1][v - 1] == 0
+                    (want,) = rank_mod_p(jacobian_at(cmap.polys, point, p), p, [range(len(cmap))])
+                    assert point_rank(m, mode, point, rng, p)[0] == want, (name, mode, v, seed)
 
     def test_diag_point_is_the_explicit_diagonal(self, rng):
-        """``diag_point`` keeps the edge rates and values each a_vv as the
-        explicit matrix's diagonal entry -a_0v - (outflows of v), mod p."""
+        """``point_matrix`` keeps the edge rates and values each a_vv as the
+        explicit matrix's diagonal entry -a_0v - (outflows of v), mod p: it
+        is the symbolic compartmental matrix at the point."""
         for _ in range(50):
-            m = random_model(rng, n_range=(1, 6), full_leaks=True)
+            m = random_model(rng, n_range=(1, 6), full_leaks=rng.random() < 0.5)
             matrix = compartmental_matrix(m, MODE_EXPLICIT)
             p = rng.choice(PRIMES)
-            point = random_point(matrix.table, rng, p)
-            ne = len(m.edges)
-            diagonal = [
-                sum(c * point[e.index(1)] for e, c in matrix.entry(v, v).terms.items()) % p
-                for v in m.vertices
+            point = random_point(len(matrix.table.params), rng, p)
+            valued = [
+                [sum(c * point[e.index(1)] for e, c in matrix.entry(u, v).terms.items()) % p for v in m.vertices]
+                for u in m.vertices
             ]
-            assert identcore.diag_point(m, point, p) == point[:ne] + tuple(diagonal), m
+            assert point_matrix(m, MODE_EXPLICIT, point, p) == valued, m
 
     def test_explicit_of_needs_the_models_diag_map(self):
+        """Diag mode needs a leak in every compartment, and then it ranks
+        the explicit map's rank and count (a unimodular change of
+        coordinates)."""
         m = cascade_exchange()
-        with pytest.raises(HypothesesNotMet):
-            jacobian_rank(coefficient_map(m, MODE_EXPLICIT), explicit_of=m)
-        with pytest.raises(HypothesesNotMet):
-            jacobian_rank(coefficient_map(m, MODE_DIAG), explicit_of=m.with_leaks({1, 2}))
+        with pytest.raises(ModeRequiresFullLeaks):
+            jacobian_rank(m.with_leaks({1, 2}), MODE_DIAG)
+        with pytest.raises(ModeRequiresFullLeaks):
+            classify_identifiability(m.with_leaks({1, 2}), mode=MODE_DIAG)
+        assert jacobian_rank(m, MODE_DIAG) == jacobian_rank(m, MODE_EXPLICIT) == (7, 7)
 
 
 class TestExpectedDimension:
@@ -554,8 +663,8 @@ class TestRankProperties:
         while cases < 200:
             m = random_model(rng, n_range=(1, 5), full_leaks=True)
             try:
-                r_diag = jacobian_rank(coefficient_map(m, MODE_DIAG), seed=17)
-                r_expl = jacobian_rank(coefficient_map(m, MODE_EXPLICIT), seed=17)
+                r_diag = expanded_rank(coefficient_map(m, MODE_DIAG), seed=17)
+                r_expl = expanded_rank(coefficient_map(m, MODE_EXPLICIT), seed=17)
             except Exception:
                 continue  # models whose outputs are unreachable from inputs
             assert r_diag == r_expl, m
@@ -570,7 +679,7 @@ class TestRankProperties:
             sc = is_strongly_connected(m)
             if not ((sioc and len(m.outputs) == 1) or (sc and len(m.inputs) == 1)):
                 continue
-            rank = jacobian_rank(coefficient_map(m, MODE_DIAG), seed=23)
+            rank = expanded_rank(coefficient_map(m, MODE_DIAG), seed=23)
             assert rank <= len(m.edges) + len(m.in_union_out), m
             cases += 1
 

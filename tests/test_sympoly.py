@@ -1,5 +1,6 @@
-"""Polynomial kernel tests: ring ops, gradients at a point, characteristic
-polynomials, minors, and equivalence with brute-force and sympy oracles."""
+"""Polynomial kernel tests: ring ops, characteristic polynomials, minors,
+and equivalence with brute-force and sympy oracles; and the oracles'
+gradients at a point (``oracles.jacobian_at``) against sympy."""
 
 from __future__ import annotations
 
@@ -27,11 +28,10 @@ from identkit.sympoly import (
     VarTable,
     char_matrix,
     char_poly_coeffs,
-    jacobian_at,
 )
 
 from conftest import cascade_exchange, random_model
-from oracles import leibniz_det, sympy_gradient_mod_p, sympy_partial, sympy_poly
+from oracles import jacobian_at, leibniz_det, sympy_gradient_mod_p, sympy_partial, sympy_poly
 
 P = 2**61 - 1  # a Mersenne prime
 FIXTURE_MODELS = sorted(
@@ -226,7 +226,7 @@ class TestJacobianAtOracle:
         rng = random.Random(f"{path.stem}:{mode}")
         for _ in range(2):
             p = rng.choice(PRIMES)
-            values = random_point(cmap.table, rng, p)
+            values = random_point(len(cmap.param_order), rng, p)
             expected = [sympy_gradient_mod_p(poly, values, p) for poly in cmap.polys]
             assert jacobian_at(cmap.polys, values, p) == expected
 
