@@ -39,9 +39,9 @@ and whose inputs' reach masks must cover every vertex.  A tuple whose bound
 |E| + |In u Out| exceeds the paper's expected coefficient count
 (``ioeq.coefficient_count`` of its input-output distances) ranks below the
 bound at every point: it is a proof-grade non-member and is not ranked.
-One call of ``identcore.graph_ranks`` ranks the other tuples' row subsets,
-each exactly as the expanded Jacobian ranks at the class's point, whatever
-values the engine draws after it.
+One ``identcore.graph_ranks`` call per class ranks the other tuples, over
+their distinct cofactor sets, each exactly as the expanded Jacobian ranks
+at the class's point, whatever values the engine draws after it.
 
 Counting is deterministic for a fixed seed regardless of worker count: the
 seed picks the prime (``PRIMES[seed % 3]``), each class draws its one point
@@ -283,16 +283,10 @@ def _evaluate_class(n: int, edges, aut, seed: int, key, feas: dict[str, bool]) -
     if not tests:
         return held
 
-    # jacobian rows by position: the n char-poly coefficients, then n - 1 per cofactor
-    positions = list(dict.fromkeys(pos for test in tests for pos in test[3]))
-    block = {pos: n + (n - 1) * k for k, pos in enumerate(positions)}
-    # one row subset per cofactor set: the role tuples (a, b, c) and (a, c, b)
-    # of expdim_in1_out23, for one, rank the same rows
-    subsets: dict[frozenset, list[int]] = {}
-    for _, _, _, cofactors, _ in tests:
-        rows = list(range(n)) + [r for pos in cofactors for r in range(block[pos], block[pos] + n - 1)]
-        subsets.setdefault(frozenset(cofactors), rows)
-    rank_of = dict(zip(subsets, graph_ranks(n, edges, seed, key, positions, list(subsets.values()))))
+    # one rank per cofactor set: the role tuples (a, b, c) and (a, c, b) of
+    # expdim_in1_out23, for one, rank the same rows
+    sets = list(dict.fromkeys(frozenset(test[3]) for test in tests))
+    rank_of = dict(zip(sets, graph_ranks(n, edges, seed, key, graph.dist, sets)))
     for name, t, size, cofactors, bound in tests:
         rank = rank_of[frozenset(cofactors)]
         if rank > bound:

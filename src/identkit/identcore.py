@@ -13,16 +13,19 @@ c_k = -tr(A_H B_k)/(d-k), B_{k-1} = A_H B_k + c_k I gives at theta the
 characteristic coefficients c_k and the adjugate adj(lI - A_H) =
 sum_k B_k l^k, whose (j, i) entries (B_k)_ji are input i's cofactor
 coefficients.  Since d det(lI - A)/dA_uv = -adj(lI - A)_vu, the row of c_k
-is exactly dc_k/dA_uv = -(B_k)_vu.  The gradient g(l) of adj_ji(l) is
-sum_k l^k grad (B_k)_ji, so at d - 1 distinct l it is a Vandermonde image
-of the cofactor coefficients' gradients.  With delta = det(lI - A_H) and
+is exactly dc_k/dA_uv = -(B_k)_vu.  adj_ji(l) sums the walks i -> j, so
+for i != j it has degree d - 1 - dist(i, j) in l, and is 0 when no path
+i -> j exists; B_{d-1} = I makes adj_ii(l) monic of degree d - 1.  So the
+gradient g(l) = sum_k l^k grad (B_k)_ji of adj_ji(l) has d - dist(i, j)
+coefficient vectors, d - 1 when i = j, and at as many distinct l it is a
+Vandermonde image of them.  With delta = det(lI - A_H) and
 adj = delta (lI - A_H)^-1, the row [adj_ju(l) adj_vi(l)] over the entries
 (u, v) is delta(l) g(l) - adj_ji(l) grad delta(l): for l drawn after theta
 and redrawn while it repeats or delta(l) = 0 mod p, a nonzero multiple of
-g(l) plus characteristic rows.  So every row subset that holds an output's
-characteristic rows with its cofactor blocks has exactly the expanded
-Jacobian's rank at theta.  An explicit parameter is a column operation on
-A's entries (edge s -> t: A[t][s] - A[s][s]; leak v: -A[v][v]).  The
+g(l) plus characteristic rows.  So an output's characteristic rows with
+any of its cofactor blocks have exactly the expanded Jacobian's rank at
+theta.  An explicit parameter is a column operation on A's entries
+(edge s -> t: A[t][s] - A[s][s]; leak v: -A[v][v]).  The
 coefficient count is the number of distinct nonzero values among the c_k
 and (B_k)_ji: equal polynomials have equal values, and distinct or nonzero
 ones keep distinct or nonzero values but for a vanishing chance.
@@ -150,13 +153,16 @@ def point_matrix(model: CompartmentalModel, mode: str, point: Sequence[int], p: 
     return matrix
 
 
-def output_rows(matrix, keep: Sequence[int], slots, pairs, rng: random.Random, p: int):
-    """(rows, values): one output's Jacobian rows over the entries ``slots``
+def output_rows(matrix, keep: Sequence[int], slots, pairs, dist, rng: random.Random, p: int):
+    """(blocks, values): one output's Jacobian rows over the entries ``slots``
     of ``matrix`` (A mod p) and its coefficient values, for its reachable
     set ``keep`` and the cofactor positions ``pairs`` (input i, output j),
-    all 0-based.  First the d characteristic coefficients c_{d-1}..c_0,
-    then per pair d - 1 rows at values l drawn from ``rng`` and the values
-    (B_{d-2})_ji..(B_0)_ji (module docstring)."""
+    all 0-based, with ``dist[i][j]`` the length of a shortest path i -> j.
+    The first block holds the rows of the d characteristic coefficients
+    c_{d-1}..c_0; then each pair has a block of d - dist(i, j) rows, d - 1
+    when i = j and none when no path i -> j exists, at the first of d - 1
+    values l drawn from ``rng``, and adds the values (B_{d-2})_ji..(B_0)_ji
+    (module docstring)."""
     d = len(keep)
     local = {v: r for r, v in enumerate(keep)}
     nonzero = [[(c, x) for c, v in enumerate(keep) if (x := matrix[u][v])] for u in keep]
@@ -176,11 +182,11 @@ def output_rows(matrix, keep: Sequence[int], slots, pairs, rng: random.Random, p
                 acc[r] += values[-1]
                 product.append([a % p for a in acc])
             current = product
-    rows = []
+    blocks = [[]]
     for b in adjugate:
-        rows.append([0] * len(slots))
+        blocks[0].append([0] * len(slots))
         for k, u, v in columns:
-            rows[-1][k] = -b[v][u]
+            blocks[0][-1][k] = -b[v][u]
 
     lams: list[int] = []
     while pairs and len(lams) < d - 1:
@@ -188,6 +194,9 @@ def output_rows(matrix, keep: Sequence[int], slots, pairs, rng: random.Random, p
         delta = reduce(lambda acc, c: (acc * lam + c) % p, values, 1)  # det(lI - A_H)
         if delta and lam not in lams:
             lams.append(lam)
+    # adj_ji(l) has degree d - 1 - dist(i, j), and adj_ii(l) is monic of degree d - 1
+    sizes = [d - 1 if i == j else d - min(dist[i][j], d) for i, j in pairs]
+    lams = lams[: max(sizes, default=0)]
 
     def at(vectors, lam):  # sum_k vectors[k] lam^k, by Horner from k = d-1 down
         return reduce(lambda acc, vec: [(a * lam + b) % p for a, b in zip(acc, vec)], vectors)
@@ -197,14 +206,15 @@ def output_rows(matrix, keep: Sequence[int], slots, pairs, rng: random.Random, p
     column_of = {i: [[r[local[i]] for r in b] for b in adjugate] for i, _ in pairs}
     rows_at = [{j: at(vectors, lam) for j, vectors in row_of.items()} for lam in lams]
     columns_at = [{i: at(vectors, lam) for i, vectors in column_of.items()} for lam in lams]
-    for i, j in pairs:
-        for at_j, at_i in zip(rows_at, columns_at):
+    for (i, j), size in zip(pairs, sizes):
+        blocks.append([])
+        for at_j, at_i in zip(rows_at[:size], columns_at):
             adj_j, adj_i = at_j[j], at_i[i]
-            rows.append([0] * len(slots))
+            blocks[-1].append([0] * len(slots))
             for k, u, v in columns:
-                rows[-1][k] = adj_j[u] * adj_i[v]
+                blocks[-1][-1][k] = adj_j[u] * adj_i[v]
         values += [b[local[j]][local[i]] for b in adjugate[1:]]
-    return rows, values
+    return blocks, values
 
 
 def jacobian_rank(model: CompartmentalModel, mode: str, seed: int = 0) -> tuple[int, int]:
@@ -228,8 +238,9 @@ def point_rank(model: CompartmentalModel, mode: str, point, rng: random.Random, 
         live = sorted(model.inputs.intersection(keep))
         if not live:
             raise NoInputReachesOutput(f"no input has a directed path to output {j}")
-        more, found = output_rows(matrix, [v - 1 for v in keep], slots, [(i - 1, j - 1) for i in live], rng, p)
-        rows += more
+        pairs = [(i - 1, j - 1) for i in live]
+        blocks, found = output_rows(matrix, [v - 1 for v in keep], slots, pairs, model.closure.dist, rng, p)
+        rows += [row for block in blocks for row in block]
         values.update(found)
     if mode == MODE_EXPLICIT:  # the chain rule through A's entries
         ne = len(model.edges)
@@ -240,18 +251,39 @@ def point_rank(model: CompartmentalModel, mode: str, point, rng: random.Random, 
     return rank, len(values - {0})
 
 
-def graph_ranks(n: int, edges, seed: int, key: Sequence[str], pairs, subsets) -> list[int]:
-    """Ranks of the row ``subsets`` of the full-leak diag map of the graph
-    (n, ``edges``) at the point of ``derived_rng(seed, *key)``: the rows of
-    ``output_rows`` on all n vertices for the 1-based cofactor ``pairs``."""
+def graph_ranks(n: int, edges, seed: int, key: Sequence[str], dist, sets) -> list[int]:
+    """Rank of each cofactor set of ``sets`` in the full-leak diag map of the
+    graph (n, ``edges``) at the point of ``derived_rng(seed, *key)``: of the
+    rows of ``output_rows`` on all n vertices, the characteristic rows and
+    the blocks of the set's 1-based positions (input, output).  ``dist`` is
+    the graph's ``graphprops.closure`` distances.
+
+    The characteristic rows are eliminated once, and each block is reduced
+    against them once into an echelon of its own; a set extends a copy of
+    its largest block's echelon by the others."""
     p = PRIMES[seed % len(PRIMES)]
     rng = derived_rng(seed, *key)
     slots = entry_slots(n, edges)
     matrix = [[0] * n for _ in range(n)]
     for (u, v), x in zip(slots, random_point(len(slots), rng, p)):
         matrix[u][v] = x
-    rows, _ = output_rows(matrix, range(n), slots, [(i - 1, j - 1) for i, j in pairs], rng, p)
-    return rank_mod_p(rows, p, subsets)
+    pairs = list(dict.fromkeys(pos for cofactors in sets for pos in cofactors))
+    zero_based = [(i - 1, j - 1) for i, j in pairs]
+    (shared_rows, *blocks), _ = output_rows(matrix, range(n), slots, zero_based, dist, rng, p)
+    basis: list[tuple[int, list[int]]] = []
+    shared = _extend(basis, shared_rows, p)
+    echelons = {}
+    for pos, block in zip(pairs, blocks):
+        echelons[pos] = []
+        _extend(echelons[pos], (_reduce(row, basis, p) for row in block), p)
+    ranks = []
+    for cofactors in sets:
+        largest, *others = sorted((echelons[pos] for pos in cofactors), key=len, reverse=True)
+        joint = list(largest)
+        for other in others:
+            _extend(joint, (row for _, row in other), p)
+        ranks.append(shared + len(joint))
+    return ranks
 
 
 # -- analysis ---------------------------------------------------------------

@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing.pool
 import os
+import random
 import shutil
 from itertools import permutations
 
@@ -27,6 +28,7 @@ from identkit.census import (
     write_sidecar,
 )
 from identkit.graphprops import closure, sioc
+from identkit.identcore import PRIMES, entry_slots, output_rows, random_point
 from identkit.ioeq import coefficient_count, coefficient_map
 from identkit.model import compartmental_matrix, make_model
 from identkit.sympoly import char_poly_coeffs
@@ -135,19 +137,39 @@ def _expdim_tuples(n, edges):
             yield ((a, b), (c, b))
 
 
+def _expansion(n, edges, positions):
+    """The full-leak diag map's expanded char-poly coefficients, and per
+    cofactor position the number of its non-constant coefficients."""
+    matrix = compartmental_matrix(make_model(n, edges, {1}, {1}, range(1, n + 1)), "diag")
+    polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
+    live = {
+        pos: sum(1 for p in polys[n + (n - 1) * k : n + (n - 1) * (k + 1)] if any(p.packed))
+        for k, pos in enumerate(positions)
+    }
+    return polys[:n], live
+
+
+def _block_sizes(n, edges, positions):
+    """How many rows ``identcore.output_rows`` gives each cofactor position,
+    on all n vertices as the census ranks them."""
+    p = PRIMES[0]
+    slots = entry_slots(n, edges)
+    matrix = [[0] * n for _ in range(n)]
+    for (u, v), x in zip(slots, random_point(len(slots), random.Random(0), p)):
+        matrix[u][v] = x
+    pairs = [(i - 1, j - 1) for i, j in positions]
+    (_, *blocks), _ = output_rows(matrix, range(n), slots, pairs, closure(n, edges).dist, random.Random(1), p)
+    return dict(zip(positions, map(len, blocks)))
+
+
 def _check_coefficient_counts(n, m):
     """The edge formula, from Floyd-Warshall distances, equals the number of
     non-constant Jacobian rows of every role tuple of every class at (n, m):
     the n char-poly coefficients and each cofactor's non-constant ones."""
     positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     for _, edges, _ in representatives(n, m):
-        matrix = compartmental_matrix(make_model(n, edges, {1}, {1}, range(1, n + 1)), "diag")
-        polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
-        assert all(any(polys[r].packed) for r in range(n))
-        live = {
-            pos: sum(1 for p in polys[n + (n - 1) * k : n + (n - 1) * (k + 1)] if any(p.packed))
-            for k, pos in enumerate(positions)
-        }
+        char, live = _expansion(n, edges, positions)
+        assert all(any(c.packed) for c in char)
         d = floyd_warshall(n, edges)
         dist = closure(n, edges).dist
         for cofactors in _expdim_tuples(n, edges):
@@ -184,6 +206,23 @@ class TestProvenAnswers:
     @pytest.mark.parametrize("m", [5, 6, 7, 8])
     def test_coefficient_count_matches_nonconstant_rows_n5(self, m):
         _check_coefficient_counts(5, m)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_blocks_hold_the_nonconstant_coefficients(self, m):
+        """Each ``output_rows`` block has one row per non-constant cofactor
+        coefficient of its position: d - dist(i, j), d - 1 at (i, i), none
+        where i reaches no j."""
+        n = 4
+        positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for _, edges, _ in representatives(n, m):
+            _, live = _expansion(n, edges, positions)
+            assert _block_sizes(n, edges, positions) == live, edges
+
+    def test_catenary_block_at_distance_31(self):
+        """In = {1}, Out = {32} on the 32-compartment catenary: one row."""
+        n = 32
+        edges = [e for v in range(1, n) for e in ((v, v + 1), (v + 1, v))]
+        assert _block_sizes(n, edges, [(1, n)]) == {(1, n): 1}
 
 
 class TestFeasibility:

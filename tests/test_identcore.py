@@ -27,7 +27,7 @@ from identkit.identcore import (
     rank_mod_p,
     self_cycles_identifiable,
 )
-from identkit.graphprops import is_strongly_connected, is_strongly_input_output_connected
+from identkit.graphprops import closure, is_strongly_connected, is_strongly_input_output_connected
 from identkit.ioeq import NoInputReachesOutput, coefficient_map
 from identkit.model import (
     MODE_DIAG,
@@ -278,30 +278,32 @@ class TestRankEngine:
 
     def test_jacobian_ranks_match_oracle(self):
         """``graph_ranks``, the census's engine, against sympy ranks of the
-        expanded Jacobian at the same point: every subset holds the n
-        characteristic rows and the blocks of some cofactor positions."""
+        untrimmed expanded Jacobian at the same point: each cofactor set
+        ranks the n characteristic rows with every cofactor coefficient's row
+        of its positions, which include (i, i) and unreachable pairs."""
         rng = random.Random(11)
         for case in range(40):
-            n = rng.randint(1, 5)
+            n = rng.randint(2, 5)
             slots = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
             edges = sorted(rng.sample(slots, rng.randint(0, len(slots))))
             cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-            positions = rng.sample(cells, rng.randint(1, min(4, len(cells))))
-            block = {pos: n + (n - 1) * k for k, pos in enumerate(positions)}
-            subsets = [
-                list(range(n))
-                + [r for pos in rng.sample(positions, rng.randint(0, len(positions))) for r in range(block[pos], block[pos] + n - 1)]
-                for _ in range(rng.randint(1, 4))
-            ]
+            positions = rng.sample(cells, rng.randint(2, min(4, len(cells))))
+            sets = [rng.sample(positions, 2)]  # at least one two-block set
+            sets += [rng.sample(positions, rng.randint(1, len(positions))) for _ in range(rng.randint(0, 3))]
             matrix = compartmental_matrix(make_model(n, edges, {1}, {1}, range(1, n + 1)), MODE_DIAG)
             polys = char_poly_coeffs(matrix.entries, matrix.table, positions)
+            rows_of = {pos: range(n + (n - 1) * k, n + (n - 1) * (k + 1)) for k, pos in enumerate(positions)}
             key = ("planted", str(case))
+            dist = closure(n, edges).dist
             for seed in range(3):
                 p = PRIMES[seed % len(PRIMES)]
                 point = random_point(len(matrix.table.params), identcore.derived_rng(seed, *key), p)
                 jac = [sympy_gradient_mod_p(poly, point, p) for poly in polys]
-                expected = [sympy_rank_mod_p([jac[r] for r in ids], p) for ids in subsets]
-                assert graph_ranks(n, edges, seed, key, positions, subsets) == expected, (edges, positions)
+                expected = [
+                    sympy_rank_mod_p(jac[:n] + [jac[r] for pos in cofactors for r in rows_of[pos]], p)
+                    for cofactors in sets
+                ]
+                assert graph_ranks(n, edges, seed, key, dist, sets) == expected, (edges, sets)
 
 
 class TestClassify:
